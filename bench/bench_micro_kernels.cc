@@ -8,7 +8,9 @@
 // rows against tools/kernel_baseline.json in CI. The stage2_surrogate batch
 // row's "speedup" is measured against the Stage II *table* batch kernel in
 // the same run (the ratio the ISSUE acceptance floor of 2.5x refers to),
-// not against the surrogate's own scalar path.
+// not against the surrogate's own scalar path. The stage2_surrogate_pairs
+// row runs the same kernel over the ordered pairs of a 1k-TSV full-chip
+// design, so it also pays the pitch contraction on every memo miss.
 //
 // A fit-order sweep for the surrogate (orders vs certified bound vs
 // ns/eval) additionally lands in <out-dir>/surrogate.jsonl; EXPERIMENTS.md
@@ -20,17 +22,21 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analytic/interaction.h"
 #include "analytic/surrogate.h"
 #include "common.h"
 #include "core/framework.h"
+#include "core/interactive_stage.h"
 #include "core/stress_table.h"
 #include "geometry/grid_index.h"
+#include "geometry/sample_grid.h"
 #include "numeric/cg.h"
 #include "numeric/parallel.h"
 #include "numeric/sparse_cholesky.h"
+#include "tsv/fullchip.h"
 #include "tsv/generators.h"
 
 namespace {
@@ -389,6 +395,33 @@ double best_ns_per_eval(std::size_t evals, F&& run) {
   return best;
 }
 
+/// best_ns_per_eval of two workloads timed in alternation, rep by rep, so
+/// that a change of host speed during the measurement reaches both and
+/// their ratio stays a property of the code.
+template <typename F, typename G>
+std::pair<double, double> best_ns_per_eval_alternating(std::size_t evals_f,
+                                                       F&& run_f,
+                                                       std::size_t evals_g,
+                                                       G&& run_g) {
+  using Clock = std::chrono::steady_clock;
+  const auto timed = [](auto& run, std::size_t evals, double& best) {
+    const auto t0 = Clock::now();
+    run();
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+    best = std::min(best, ns / static_cast<double>(evals));
+  };
+  run_f();
+  run_g();
+  double best_f = 1e300;
+  double best_g = 1e300;
+  for (int rep = 0; rep < 7; ++rep) {
+    timed(run_f, evals_f, best_f);
+    timed(run_g, evals_g, best_g);
+  }
+  return {best_f, best_g};
+}
+
 void append_kernel_row(const std::string& path, const char* kernel,
                        const char* mode, std::size_t evals, double ns_per_eval,
                        double speedup) {
@@ -447,6 +480,78 @@ void emit_surrogate_sweep_row(const std::string& path, const char* config,
       .num("cert_rel_bound", cert.certified_rel_bound, "%.3g")
       .num("ns_per_eval", batch_ns, "%.3f")
       .num("speedup_vs_table", table_batch_ns / batch_ns, "%.3f");
+  bench::append_jsonl(path, row);
+}
+
+/// The surrogate batch kernel over real Stage II pair sequences: the
+/// ordered pairs of a seeded 1k-TSV full-chip design in enumeration order,
+/// each over the 2 um grid points of its victim's influence disc. The
+/// fixed-pitch stage2_surrogate row always hits the pitch-contraction memo;
+/// here every pair at a pitch the memo no longer holds pays a contraction,
+/// so the row shows what the contraction and the memo cost per point. Its
+/// "ratio" is ns/eval over the fixed-pitch batch workload, timed in
+/// alternation with it: the host-independent number
+/// tools/check_kernel_perf.py gates.
+void emit_pair_sequence_row(const std::string& path,
+                            const ana::PairSurrogate& sur) {
+  const tsvlib::FullChipDesign design = tsvlib::make_fullchip(
+      structure(), tsvlib::spec_for_count(1000, 0.0025, 7));
+  const core::InteractiveStage stage(design.placement, interactive_model());
+  const double radius = stage.options().influence_radius;
+  const geo::SampleGrid grid = geo::SampleGrid::with_spacing(
+      design.placement.bounding_box().expanded(radius), 2.0);
+  std::vector<geo::Point> grid_points(grid.size());
+  for (std::size_t g = 0; g < grid.size(); ++g) grid_points[g] = grid.point(g);
+  const geo::GridIndex index(grid_points, geo::Box::bounding(grid_points),
+                             radius / 2.0);
+  const auto& centers = design.placement.centers();
+  // Disc points gathered once per victim outside the timed loop: the row
+  // times the surrogate (contraction + kernel), not the point query.
+  std::vector<std::vector<geo::Point>> disc(centers.size());
+  std::vector<std::uint32_t> near;
+  for (std::size_t v = 0; v < centers.size(); ++v) {
+    index.query_radius(centers[v], radius, near);
+    for (const std::uint32_t i : near) disc[v].push_back(grid_points[i]);
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::size_t evals = 0;
+  for (const auto& [v, a] : stage.ordered_pairs()) {
+    if (!sur.covers(geo::distance(centers[v], centers[a]))) continue;
+    pairs.emplace_back(v, a);
+    evals += disc[v].size();
+  }
+  std::vector<num::SymTensor2> out;
+  // The fixed-pitch batch workload of the stage2_surrogate row, repeated
+  // to a comparable duration.
+  constexpr std::size_t kFixedReps = 512;
+  const std::vector<geo::Point> fixed_pts = kernel_points(4096, 20.0, 19);
+  std::vector<num::SymTensor2> fixed_out(fixed_pts.size());
+  const auto [ns, fixed_ns] = best_ns_per_eval_alternating(
+      evals,
+      [&] {
+        for (const auto& [v, a] : pairs) {
+          const std::vector<geo::Point>& pts = disc[v];
+          out.assign(pts.size(), num::SymTensor2{});
+          sur.accumulate(centers[v], centers[a], pts.data(), pts.size(),
+                         out.data());
+          benchmark::DoNotOptimize(out.data());
+        }
+      },
+      kFixedReps * fixed_pts.size(),
+      [&] {
+        for (std::size_t rep = 0; rep < kFixedReps; ++rep)
+          sur.accumulate({0, 0}, {10, 0}, fixed_pts.data(), fixed_pts.size(),
+                         fixed_out.data());
+        benchmark::DoNotOptimize(fixed_out.data());
+      });
+  bench::JsonRow row("kernels");
+  row.str("kernel", "stage2_surrogate_pairs")
+      .str("mode", "batch")
+      .uint("evals", evals)
+      .uint("pairs", pairs.size())
+      .num("ns_per_eval", ns, "%.3f")
+      .num("evals_per_sec", 1e9 / ns, "%.6g")
+      .num("ratio", ns / fixed_ns, "%.3f");
   bench::append_jsonl(path, row);
 }
 
@@ -530,6 +635,7 @@ void emit_kernel_rows(const std::string& out_dir) {
                       0.0);
     append_kernel_row(path, "stage2_surrogate", "batch", evals, batch_ns,
                       stage2_table_batch_ns / batch_ns);
+    emit_pair_sequence_row(path, sur);
   }
 
   // Fit-order sweep (surrogate.jsonl): the calibrated defaults, a trimmed

@@ -14,7 +14,9 @@
 //   * region-window throughput (grid points returned per second).
 //
 // Appends a JSONL row to <out-dir>/server.jsonl (schema: bench/common.h);
-// tools/check_kernel_perf.py-style guards can trend it. The session is
+// tools/check_kernel_perf.py-style guards can trend it. The run's socket
+// and snapshot directory under <out-dir> carry the pid and are removed on
+// exit, so concurrent runs may share an --out-dir. The session is
 // opened over the wire from serialized placement text, so the measured path
 // is the full protocol stack, not a shortcut into the engine.
 
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "common.h"
 #include "server/client.h"
@@ -97,10 +101,23 @@ int main(int argc, char** argv) {
   std::ostringstream placement_text;
   tsvlib::write_placement(placement_text, design.placement);
 
-  const std::string socket_path = out_dir + "/bench_server.sock";
+  // The socket and snapshot directory are named per run (pid), so two runs
+  // can share one --out-dir; both are removed when the run ends.
+  const std::string run_tag = std::to_string(::getpid());
+  const std::string socket_path =
+      out_dir + "/bench_server." + run_tag + ".sock";
+  const std::string snapshot_dir = out_dir + "/bench_server_snaps." + run_tag;
+  struct RunFiles {
+    std::string socket, snapshots;
+    ~RunFiles() {
+      std::error_code ec;
+      std::filesystem::remove(socket, ec);
+      std::filesystem::remove_all(snapshots, ec);
+    }
+  } run_files{socket_path, snapshot_dir};
   server::ServerOptions options;
   options.unix_path = socket_path;
-  options.snapshot_dir = out_dir + "/bench_server_snaps";
+  options.snapshot_dir = snapshot_dir;
   server::StressServer daemon(options);
   std::thread daemon_thread([&] { daemon.run(); });
 

@@ -65,13 +65,29 @@ void cheb_transform_line(double* base, std::size_t stride, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) base[k * stride] = tmp[k];
 }
 
-/// Per-thread memo of the pitch-contracted coefficient matrices. Keyed on
-/// (surrogate id, pitch bits): full-chip sweeps evaluate long runs of pairs
-/// at repeated pitches, so the contraction amortizes to ~zero.
+/// Ways of the per-thread contraction memo. A victim's aggressors sit at
+/// different pitches, so a one-pitch memo misses on nearly every pair; the
+/// victims of an array block revisit a few pitches, which a handful of ways
+/// keeps resident. Replaying the 1-thread pair-tile job sequence of the
+/// 10k-TSV full-chip map (110k jobs), one way misses 100k times, 4 ways
+/// 44.7k and 16 ways 37.4k. The key, not the slot, fixes the contents, so
+/// the way count changes speed only, never a value. Sixteen sets of
+/// the default fit's 2,382 contracted doubles are ~300 KB per thread.
+constexpr std::size_t kMemoWays = 16;
+
+/// Per-thread memo of the pitch-contracted coefficient matrices, keyed on
+/// (surrogate id, pitch bits) and evicting the least recently used way.
+/// Each way holds a pure function of its key, so hits and misses give
+/// bitwise the same matrices whatever the call history.
 struct ContractionMemo {
-  std::uint64_t id = 0;
-  std::uint64_t pitch_bits = 0;
-  std::vector<double> m;
+  struct Way {
+    std::uint64_t id = 0;  ///< 0 = empty (surrogate ids start at 1)
+    std::uint64_t pitch_bits = 0;
+    std::uint64_t last_use = 0;
+    std::vector<double> m;
+  };
+  Way ways[kMemoWays];
+  std::uint64_t clock = 0;
 };
 
 ContractionMemo& tls_contraction_memo() {
@@ -441,6 +457,24 @@ void kernel_generic(const KernelArgs& k, const geo::Point* points,
   kernel_body<v4d>(k, points, n, out);
 }
 
+/// The pitch contraction dst[q] = src[q] + t[1] src[block + q] + ... over
+/// `planes` coefficient planes of `block` doubles (see
+/// contract_pitch_planes). The generic variant is the plain plane-outer
+/// loop: the baseline ISA has no FMA to fuse with, and a register strip at
+/// SSE2 width measured slower than this loop.
+using ContractFn = void (*)(const double*, std::size_t, std::size_t,
+                            const double*, double*);
+
+void contract_generic(const double* src, std::size_t planes, std::size_t block,
+                      const double* t, double* dst) {
+  for (std::size_t q = 0; q < block; ++q) dst[q] = src[q];
+  for (std::size_t a = 1; a < planes; ++a) {
+    const double ta = t[a];
+    const double* plane = src + a * block;
+    for (std::size_t q = 0; q < block; ++q) dst[q] += ta * plane[q];
+  }
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 // The build intentionally carries no global -march flags (baseline x86-64
 // codegen keeps every committed kernel baseline bit-stable), so the FMA
@@ -463,21 +497,123 @@ kernel_avx512(const KernelArgs& k, const geo::Point* points, std::size_t n,
   kernel_body<v8d>(k, points, n, out);
 }
 
-KernelFn select_kernel() {
+/// Keeps a product out of any fused multiply-add: the empty asm hides it
+/// from the optimizer, so the following add rounds it separately exactly as
+/// the baseline loop does (GCC otherwise contracts a * b + c wherever the
+/// target has FMA).
+template <class V>
+__attribute__((always_inline)) inline void keep_unfused(V& product) {
+  __asm__("" : "+v"(product));
+}
+
+/// Strip-mined contraction: a strip of kRegs lane vectors accumulates over
+/// every pitch plane in registers and is stored once, instead of dst being
+/// re-read and re-written per plane. Every element sees the plain loop's
+/// operations in the plain loop's order, so each variant is bitwise
+/// contract_generic.
+template <class V>
+__attribute__((always_inline)) inline void contract_body(
+    const double* src, std::size_t planes, std::size_t block, const double* t,
+    double* dst) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  constexpr std::size_t kRegs = 4;
+  std::size_t q = 0;
+  const auto strip = [&](auto regs) {
+    constexpr std::size_t kR = regs();
+    V acc[kR];
+    for (std::size_t r = 0; r < kR; ++r)
+      std::memcpy(&acc[r], src + q + r * kLanes, sizeof(V));
+    for (std::size_t a = 1; a < planes; ++a) {
+      const double* plane = src + a * block + q;
+      for (std::size_t r = 0; r < kR; ++r) {
+        V p;
+        std::memcpy(&p, plane + r * kLanes, sizeof(V));
+        V product = t[a] * p;
+        keep_unfused(product);
+        acc[r] += product;
+      }
+    }
+    for (std::size_t r = 0; r < kR; ++r)
+      std::memcpy(dst + q + r * kLanes, &acc[r], sizeof(V));
+    q += kR * kLanes;
+  };
+  while (q + kRegs * kLanes <= block)
+    strip(std::integral_constant<std::size_t, kRegs>{});
+  while (q + kLanes <= block) strip(std::integral_constant<std::size_t, 1>{});
+  for (; q < block; ++q) {
+    double acc = src[q];
+    for (std::size_t a = 1; a < planes; ++a) {
+      double product = t[a] * src[a * block + q];
+      keep_unfused(product);
+      acc += product;
+    }
+    dst[q] = acc;
+  }
+}
+
+__attribute__((target("avx2,fma"))) void contract_avx2(
+    const double* src, std::size_t planes, std::size_t block, const double* t,
+    double* dst) {
+  contract_body<v4d>(src, planes, block, t, dst);
+}
+
+__attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma,popcnt"))) void
+contract_avx512(const double* src, std::size_t planes, std::size_t block,
+                const double* t, double* dst) {
+  contract_body<v8d>(src, planes, block, t, dst);
+}
+
+SurrogateIsa detect_isa() {
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl"))
-    return kernel_avx512;
+    return SurrogateIsa::kAvx512;
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return kernel_avx2;
+    return SurrogateIsa::kAvx2;
+  return SurrogateIsa::kGeneric;
+}
+
+KernelFn kernel_for(SurrogateIsa isa) {
+  switch (isa) {
+    case SurrogateIsa::kAvx512:
+      return kernel_avx512;
+    case SurrogateIsa::kAvx2:
+      return kernel_avx2;
+    case SurrogateIsa::kGeneric:
+      break;
+  }
   return kernel_generic;
 }
+
+ContractFn contraction_for(SurrogateIsa isa) {
+  switch (isa) {
+    case SurrogateIsa::kAvx512:
+      return contract_avx512;
+    case SurrogateIsa::kAvx2:
+      return contract_avx2;
+    case SurrogateIsa::kGeneric:
+      break;
+  }
+  return contract_generic;
+}
 #else
-KernelFn select_kernel() { return kernel_generic; }
+SurrogateIsa detect_isa() { return SurrogateIsa::kGeneric; }
+KernelFn kernel_for(SurrogateIsa) { return kernel_generic; }
+ContractFn contraction_for(SurrogateIsa) { return contract_generic; }
 #endif
 
+SurrogateIsa active_isa() {
+  static const SurrogateIsa isa = detect_isa();
+  return isa;
+}
+
 KernelFn active_kernel() {
-  static const KernelFn kernel = select_kernel();
+  static const KernelFn kernel = kernel_for(active_isa());
   return kernel;
+}
+
+ContractFn active_contraction() {
+  static const ContractFn contract = contraction_for(active_isa());
+  return contract;
 }
 
 }  // namespace
@@ -585,9 +721,16 @@ const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(pitch));
   std::memcpy(&bits, &pitch, sizeof(bits));
-  if (memo.id == id_ && memo.pitch_bits == bits && !memo.m.empty())
-    return memo.m.data();
-  memo.m.resize(segment_offsets_.back());
+  ContractionMemo::Way* slot = &memo.ways[0];
+  for (ContractionMemo::Way& way : memo.ways) {
+    if (way.id == id_ && way.pitch_bits == bits) {
+      way.last_use = ++memo.clock;
+      return way.m.data();
+    }
+    if (way.last_use < slot->last_use) slot = &way;
+  }
+  slot->id = 0;  // stays empty if the resize throws
+  slot->m.resize(segment_offsets_.back());
   double ph = (1.0 / pitch - pitch_q_mid_) * pitch_q_half_inv_;
   if (ph > 1.0) ph = 1.0;
   if (ph < -1.0) ph = -1.0;
@@ -596,21 +739,16 @@ const double* PairSurrogate::contracted_for_pitch(double pitch) const {
   t[1] = ph;
   for (std::size_t a = 2; a < pitch_order_; ++a)
     t[a] = 2.0 * ph * t[a - 1] - t[a - 2];
+  const ContractFn contract = active_contraction();
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     const Segment& seg = segments_[s];
-    const std::size_t block = 3 * seg.nr * seg.nx;
-    double* dst = memo.m.data() + segment_offsets_[s];
-    const double* src = seg.coeffs.data();
-    for (std::size_t q = 0; q < block; ++q) dst[q] = src[q];
-    for (std::size_t a = 1; a < pitch_order_; ++a) {
-      const double ta = t[a];
-      const double* plane = src + a * block;
-      for (std::size_t q = 0; q < block; ++q) dst[q] += ta * plane[q];
-    }
+    contract(seg.coeffs.data(), pitch_order_, 3 * seg.nr * seg.nx, t,
+             slot->m.data() + segment_offsets_[s]);
   }
-  memo.id = id_;
-  memo.pitch_bits = bits;
-  return memo.m.data();
+  slot->id = id_;
+  slot->pitch_bits = bits;
+  slot->last_use = ++memo.clock;
+  return slot->m.data();
 }
 
 void PairSurrogate::accumulate(const geo::Point& victim,
@@ -684,6 +822,22 @@ SurrogateUseStats PairSurrogate::use_stats() const {
 void PairSurrogate::reset_use_stats() const {
   counters_->surrogate_pairs.store(0, std::memory_order_relaxed);
   counters_->fallback_pairs.store(0, std::memory_order_relaxed);
+}
+
+std::vector<SurrogateIsa> host_surrogate_isas() {
+  std::vector<SurrogateIsa> isas;
+  for (const SurrogateIsa isa : {SurrogateIsa::kGeneric, SurrogateIsa::kAvx2,
+                                 SurrogateIsa::kAvx512})
+    if (isa <= active_isa()) isas.push_back(isa);
+  return isas;
+}
+
+void contract_pitch_planes(SurrogateIsa isa, const double* planes,
+                           std::size_t n, std::size_t block, const double* t,
+                           double* dst) {
+  TSV_REQUIRE(isa <= active_isa(),
+              "contraction variant not supported on this host");
+  contraction_for(isa)(planes, n, block, t, dst);
 }
 
 namespace {

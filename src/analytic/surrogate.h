@@ -21,10 +21,12 @@
 //     at the small-pitch end — where the field is steepest — improves by
 //     orders of magnitude over expanding in pitch directly); a per-pair
 //     contraction over it turns the 3-D coefficient tensor into small
-//     per-segment matrices once per pair (memoized per thread), leaving the
-//     per-point cost at one sqrt, one divide, and a few dozen fused
-//     multiply-adds, evaluated in lane-parallel SoA blocks bucketed by
-//     radial segment (numeric/kernels style).
+//     per-segment matrices (a few microseconds, SIMD), kept in a small
+//     per-thread memo of recent pitches that array blocks revisit; a pair
+//     at a new pitch still pays one contraction. That leaves the per-point
+//     cost at one sqrt, one divide, and a few dozen fused multiply-adds,
+//     evaluated in lane-parallel SoA blocks bucketed by radial segment
+//     (numeric/kernels style).
 //
 // Certification is first-class: fitting ends with a dense adversarial
 // comparison against the exact series (Chebyshev-offset nodes, random
@@ -115,6 +117,25 @@ struct SurrogateUseStats {
   std::uint64_t surrogate_pairs = 0;  ///< pairs evaluated by the surrogate
   std::uint64_t fallback_pairs = 0;   ///< pairs declined (pitch out of domain)
 };
+
+/// Instruction-set variants the surrogate's hot loops (the batch kernel
+/// and the pitch contraction) are compiled for; the widest one the host
+/// supports is selected once at startup.
+enum class SurrogateIsa { kGeneric, kAvx2, kAvx512 };
+
+/// The variants this host can run, narrowest first; the last is the one in
+/// use.
+std::vector<SurrogateIsa> host_surrogate_isas();
+
+/// The pitch contraction behind the surrogate's memo, through an explicit
+/// variant (`isa` must be in host_surrogate_isas()). For q < block,
+///   dst[q] = planes[q] + t[1] * planes[block + q] + ...
+///            + t[n-1] * planes[(n-1) * block + q],
+/// summed left to right with a separate multiply and add per term, so every
+/// variant is bitwise that plain loop. t[0] is not read.
+void contract_pitch_planes(SurrogateIsa isa, const double* planes,
+                           std::size_t n, std::size_t block, const double* t,
+                           double* dst);
 
 class PairSurrogate {
  public:
@@ -230,10 +251,11 @@ class PairSurrogate {
   /// maps. Throws via TSV_REQUIRE on inconsistency.
   void finalize();
 
-  /// Contracts the pitch axis for `pitch` into the calling thread's memo
-  /// (per-segment [component][radial][angular] matrices) and returns the
-  /// flat matrix storage. Pure function of (surrogate identity, pitch), so
-  /// per-thread recomputation is bitwise identical across thread counts.
+  /// Contracts the pitch axis for `pitch` into a way of the calling
+  /// thread's multi-way memo (per-segment [component][radial][angular]
+  /// matrices) and returns the flat matrix storage, valid until this
+  /// thread's next call. Pure function of (surrogate identity, pitch), so
+  /// hits, misses and per-thread recomputation are bitwise identical.
   const double* contracted_for_pitch(double pitch) const;
 
   double pitch_min_ = 0.0;

@@ -1,6 +1,7 @@
 #include "core/interactive_stage.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "analytic/surrogate.h"
 #include "numeric/kernels.h"
@@ -34,6 +35,34 @@ std::uint64_t fingerprint_points(const std::vector<geo::Point>& points) {
   }
   return h;
 }
+
+/// "No victim yet" marker of the victim cache in evaluate_pairs (placements
+/// index their TSVs below this).
+constexpr std::uint32_t kNoVictim = std::numeric_limits<std::uint32_t>::max();
+
+/// Pairs per window of the threaded pair loop: a few hundred microseconds
+/// of kernel work, so a stalled thread holds up little and the parked
+/// windows of a chunk stay a few hundred KB each.
+constexpr std::size_t kPairWindow = 32;
+
+/// Per-pair working set of evaluate_pairs: the victim's points (cached
+/// while the victim repeats) and one pair's weighted contributions.
+struct PairScratch {
+  std::vector<std::uint32_t> affected;
+  std::vector<std::uint32_t> ring;
+  std::vector<geo::Point> gathered;
+  std::vector<double> near_w;
+  std::vector<num::SymTensor2> contrib;
+  std::uint32_t last_victim = kNoVictim;
+};
+
+/// A window of pairs computed ahead of its turn: every pair's (point,
+/// contribution) entries in pair order, added to the chunk's field later.
+struct PairWindow {
+  PairScratch scratch;
+  std::vector<std::uint32_t> index;
+  std::vector<num::SymTensor2> value;
+};
 
 /// Distance from a point to a closed axis-aligned box (0 inside).
 double distance_to_box(const geo::Point& p, const geo::Box& box) {
@@ -200,98 +229,111 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
   // 1 - tile_weight(r); the smooth mid-zone remainder is added per point
   // from the cluster tiles after the pair loop.
   const FarFieldAggregate* far = active_far_field();
+  // One pair's contributions to the victim's points, each already weighted
+  // by the far-field complement when the far field is active, so that
+  // folding a pair into a field is a plain add per point. The point query,
+  // the gather and the far-field weights depend on the victim only, and
+  // pair lists come grouped by victim, so they are redone only when the
+  // victim changes.
+  const bool gather = surrogate != nullptr || options_.use_lookup_table;
+  const auto compute_pair = [&](std::size_t k, PairScratch& s) {
+    const auto [v, a] = pairs[k];
+    const geo::Point& victim = centers[v];
+    const geo::Point& aggressor = centers[a];
+    if (v != s.last_victim) {
+      s.last_victim = v;
+      if (far != nullptr) {
+        point_index.query_radius(victim, far->near_radius(), s.affected);
+        point_index.query_annulus(victim, far->edge_inner(),
+                                  options_.influence_radius, s.ring);
+        s.affected.insert(s.affected.end(), s.ring.begin(), s.ring.end());
+        s.near_w.resize(s.affected.size());
+        for (std::size_t j = 0; j < s.affected.size(); ++j) {
+          s.near_w[j] =
+              1.0 - tile_weight(geo::distance(points[s.affected[j]], victim),
+                                far->options(), options_.influence_radius);
+        }
+      } else {
+        point_index.query_radius(victim, options_.influence_radius,
+                                 s.affected);
+      }
+      if (gather) {
+        s.gathered.resize(s.affected.size());
+        for (std::size_t j = 0; j < s.affected.size(); ++j)
+          s.gathered[j] = points[s.affected[j]];
+      }
+    }
+    const std::size_t m = s.affected.size();
+    s.contrib.assign(m, num::SymTensor2{});
+    // Out-of-domain pitches fall through to the table or the series.
+    if (surrogate == nullptr ||
+        !surrogate->try_accumulate(victim, aggressor, s.gathered.data(), m,
+                                   s.contrib.data())) {
+      const double pitch = geo::distance(victim, aggressor);
+      if (options_.use_lookup_table) {
+        const ana::PairStressTable& table = model_->table_for_pitch(
+            pitch, options_.influence_radius, options_.pitch_quant_step);
+        // Batch path: the flat kernel over the victim's gathered points
+        // (beta hoisted once for this pair).
+        s.contrib.assign(m, num::SymTensor2{});
+        table.accumulate(victim, aggressor, s.gathered.data(), m,
+                         s.contrib.data());
+      } else {
+        const ana::RegionField& combined = model_->combined_for_pitch(pitch);
+        for (std::size_t j = 0; j < m; ++j)
+          s.contrib[j] = model_->stress_with_combined(
+              combined, victim, aggressor, pitch, points[s.affected[j]]);
+      }
+    }
+    if (far != nullptr) {
+      for (std::size_t j = 0; j < m; ++j)
+        s.contrib[j] = s.near_w[j] * s.contrib[j];
+    }
+  };
+
   // Pair-parallel: every chunk of pairs accumulates into its own private
   // buffer (writing `out[n] +=` across chunks would race), and the partial
-  // fields merge in chunk index order afterwards. With num_threads == 1
-  // this degenerates to the exact serial pair loop.
-  std::vector<num::SymTensor2> out = num::parallel_reduce<
-      std::vector<num::SymTensor2>>(
-      pairs.size(), options_.num_threads,
-      [&] { return std::vector<num::SymTensor2>(points.size()); },
-      [&](std::vector<num::SymTensor2>& out, std::size_t begin,
-          std::size_t end) {
-        std::vector<std::uint32_t> affected;
-        std::vector<std::uint32_t> ring;
-        std::vector<geo::Point> gathered;
-        std::vector<double> near_w;
-        std::vector<num::SymTensor2> contrib;
-        for (std::size_t k = begin; k < end; ++k) {
-          const auto [v, a] = pairs[k];
-          const geo::Point& victim = centers[v];
-          const geo::Point& aggressor = centers[a];
-          const double pitch = geo::distance(victim, aggressor);
-          if (far != nullptr) {
-            point_index.query_radius(victim, far->near_radius(), affected);
-            point_index.query_annulus(victim, far->edge_inner(),
-                                      options_.influence_radius, ring);
-            affected.insert(affected.end(), ring.begin(), ring.end());
-          } else {
-            point_index.query_radius(victim, options_.influence_radius,
-                                     affected);
+  // fields merge in chunk index order afterwards, so each point's sum has
+  // one fixed order for a given thread count. The pairs of a chunk are
+  // computed in windows on any free thread and added in pair order (see
+  // parallel_reduce_windowed). With one chunk this is the exact serial pair
+  // loop, which adds each pair directly: staging it through a window
+  // measured up to a third slower on the serial 10k-TSV map.
+  std::vector<num::SymTensor2> out;
+  if (num::reduce_chunk_count(pairs.size(), options_.num_threads) <= 1) {
+    out.assign(points.size(), num::SymTensor2{});
+    PairScratch s;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      compute_pair(k, s);
+      for (std::size_t j = 0; j < s.affected.size(); ++j)
+        out[s.affected[j]] += s.contrib[j];
+    }
+  } else {
+    out = num::parallel_reduce_windowed<std::vector<num::SymTensor2>,
+                                        PairWindow>(
+        pairs.size(), options_.num_threads, kPairWindow,
+        [&] { return std::vector<num::SymTensor2>(points.size()); },
+        [&](std::size_t begin, std::size_t end, PairWindow& w) {
+          w.scratch.last_victim = kNoVictim;
+          w.index.clear();
+          w.value.clear();
+          for (std::size_t k = begin; k < end; ++k) {
+            compute_pair(k, w.scratch);
+            w.index.insert(w.index.end(), w.scratch.affected.begin(),
+                           w.scratch.affected.end());
+            w.value.insert(w.value.end(), w.scratch.contrib.begin(),
+                           w.scratch.contrib.end());
           }
-          const std::size_t m = affected.size();
-          if (far != nullptr) {
-            near_w.resize(m);
-            for (std::size_t j = 0; j < m; ++j) {
-              near_w[j] =
-                  1.0 - tile_weight(
-                            geo::distance(points[affected[j]], victim),
-                            far->options(), options_.influence_radius);
-            }
-          }
-          if (surrogate != nullptr) {
-            gathered.resize(m);
-            for (std::size_t j = 0; j < m; ++j)
-              gathered[j] = points[affected[j]];
-            contrib.assign(m, num::SymTensor2{});
-            if (surrogate->try_accumulate(victim, aggressor, gathered.data(),
-                                          m, contrib.data())) {
-              if (far != nullptr) {
-                for (std::size_t j = 0; j < m; ++j)
-                  out[affected[j]] += near_w[j] * contrib[j];
-              } else {
-                for (std::size_t j = 0; j < m; ++j)
-                  out[affected[j]] += contrib[j];
-              }
-              continue;  // next pair; out-of-domain pitches fall through
-            }
-          }
-          if (options_.use_lookup_table) {
-            const ana::PairStressTable& table = model_->table_for_pitch(
-                pitch, options_.influence_radius, options_.pitch_quant_step);
-            // Batch path: gather the affected points, run the flat kernel
-            // (beta hoisted once for this pair), then scatter-add. The
-            // chunk-local buffers keep their steady-state capacity across
-            // pairs.
-            gathered.resize(m);
-            for (std::size_t j = 0; j < m; ++j)
-              gathered[j] = points[affected[j]];
-            contrib.assign(m, num::SymTensor2{});
-            table.accumulate(victim, aggressor, gathered.data(), m,
-                             contrib.data());
-            if (far != nullptr) {
-              for (std::size_t j = 0; j < m; ++j)
-                out[affected[j]] += near_w[j] * contrib[j];
-            } else {
-              for (std::size_t j = 0; j < m; ++j)
-                out[affected[j]] += contrib[j];
-            }
-          } else {
-            const ana::RegionField& combined =
-                model_->combined_for_pitch(pitch);
-            for (std::size_t j = 0; j < m; ++j) {
-              const std::uint32_t n = affected[j];
-              const num::SymTensor2 s = model_->stress_with_combined(
-                  combined, victim, aggressor, pitch, points[n]);
-              out[n] += far != nullptr ? near_w[j] * s : s;
-            }
-          }
-        }
-      },
-      [](std::vector<num::SymTensor2>& total,
-         const std::vector<num::SymTensor2>& part) {
-        for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
-      });
+        },
+        [](std::vector<num::SymTensor2>& part, const PairWindow& w) {
+          for (std::size_t j = 0; j < w.index.size(); ++j)
+            part[w.index[j]] += w.value[j];
+        },
+        [](std::vector<num::SymTensor2>& total,
+           const std::vector<num::SymTensor2>& part) {
+          for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
+        });
+  }
   if (far != nullptr) {
     // Tile pass: each point owns its own output slot, so a plain parallel
     // loop is race-free and bitwise independent of the thread count.

@@ -1,8 +1,11 @@
 #include "io/atomic_file.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -77,6 +80,20 @@ void atomic_write_file(const std::string& path, const std::string& bytes,
 }
 
 void atomic_append_line(const std::string& path, const std::string& line) {
+  // Without the lock, two appenders would read the same old contents and
+  // the second rename would drop the first one's line. The lock is advisory
+  // and best effort: an unlockable directory falls back to the plain path.
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  struct DirLock {
+    int fd;
+    ~DirLock() {
+      if (fd >= 0) ::close(fd);  // closing releases the flock
+    }
+  } dir_lock{dir_fd};
+  if (dir_fd >= 0) ::flock(dir_fd, LOCK_EX);
   std::string contents;
   {
     std::ifstream in(path, std::ios::binary);

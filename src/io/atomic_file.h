@@ -27,6 +27,8 @@ void atomic_write_file(const std::string& path, const std::string& bytes,
 /// read + rewrite of the whole file. Intended for small append-mostly
 /// artifacts (bench JSONL rows), where the simplicity of full-file rewrite
 /// beats journaling; an interrupted append leaves the previous rows intact.
+/// Appenders in different processes serialize on an exclusive flock of the
+/// containing directory, so concurrent appends to one file all land.
 void atomic_append_line(const std::string& path, const std::string& line);
 
 }  // namespace tsv::io

@@ -48,11 +48,18 @@ struct ThreadPool::Impl {
 
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<bool> abort{false};
+  std::size_t job_threads = 0;         ///< participant cap, 0 = all
+  std::atomic<std::size_t> joined{0};  ///< participants admitted so far
 
   std::vector<std::thread> workers;
 
   // Consumes chunks until exhausted or a chunk threw (first error wins).
-  void work(const std::function<void(std::size_t)>& fn, std::size_t chunks) {
+  // A participant past the region's thread cap returns at once.
+  void work(const std::function<void(std::size_t)>& fn, std::size_t chunks,
+            std::size_t max_threads) {
+    if (max_threads != 0 &&
+        joined.fetch_add(1, std::memory_order_relaxed) >= max_threads)
+      return;
     for (;;) {
       if (abort.load(std::memory_order_relaxed)) return;
       const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -72,6 +79,7 @@ struct ThreadPool::Impl {
     for (;;) {
       const std::function<void(std::size_t)>* fn = nullptr;
       std::size_t chunks = 0;
+      std::size_t max_threads = 0;
       {
         std::unique_lock<std::mutex> lock(mutex);
         work_cv.wait(lock, [&] { return stop || generation != seen; });
@@ -79,10 +87,11 @@ struct ThreadPool::Impl {
         seen = generation;
         fn = job;
         chunks = job_chunks;
+        max_threads = job_threads;
       }
       {
         RegionGuard guard;
-        work(*fn, chunks);
+        work(*fn, chunks, max_threads);
       }
       {
         std::lock_guard<std::mutex> lock(mutex);
@@ -112,7 +121,8 @@ ThreadPool::~ThreadPool() {
 std::size_t ThreadPool::worker_threads() const { return impl_->workers.size(); }
 
 void ThreadPool::run(std::size_t chunks,
-                     const std::function<void(std::size_t)>& fn) {
+                     const std::function<void(std::size_t)>& fn,
+                     std::size_t max_threads) {
   if (chunks == 0) return;
   if (impl_->workers.empty() || in_parallel_region()) {
     RegionGuard guard;
@@ -126,6 +136,8 @@ void ThreadPool::run(std::size_t chunks,
     impl_->job_chunks = chunks;
     impl_->next_chunk.store(0, std::memory_order_relaxed);
     impl_->abort.store(false, std::memory_order_relaxed);
+    impl_->job_threads = max_threads;
+    impl_->joined.store(0, std::memory_order_relaxed);
     impl_->error = nullptr;
     impl_->acked = 0;
     ++impl_->generation;
@@ -133,7 +145,7 @@ void ThreadPool::run(std::size_t chunks,
   impl_->work_cv.notify_all();
   {
     RegionGuard guard;
-    impl_->work(fn, chunks);
+    impl_->work(fn, chunks, max_threads);
   }
   std::unique_lock<std::mutex> lock(impl_->mutex);
   impl_->done_cv.wait(lock,

@@ -599,8 +599,11 @@ void SessionManager::open(const std::string& name,
           (2 * sizeof(num::SymTensor2) + sizeof(std::uint32_t)) +
       static_cast<std::uint64_t>(placement.size()) * (sizeof(geo::Point) + 2);
 
-  std::shared_ptr<Session> session;
-  std::unique_lock<std::mutex> work_lock;
+  // The new session's work lock is taken before mu_, the order every other
+  // path uses (a request holds work_mu and then takes mu_ briefly); no one
+  // can contend for it until the session is published below.
+  const auto session = std::make_shared<Session>(name);
+  std::unique_lock<std::mutex> work_lock(session->work_mu);
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto& s : sessions_)
@@ -620,12 +623,10 @@ void SessionManager::open(const std::string& name,
           std::to_string(limits_.global_budget_bytes) +
           " bytes exhausted by busy sessions");
     }
-    session = std::make_shared<Session>(name);
     session->estimated_bytes = pre_estimate;
     session->last_used = ++lru_clock_;
     resident_bytes_ += pre_estimate;
     sessions_.push_back(session);
-    work_lock = std::unique_lock<std::mutex>(session->work_mu);
   }
 
   const auto remove_session = [&] {

@@ -74,7 +74,9 @@ INSTANTIATE_TEST_SUITE_P(AllPreconditioners, CgPreconditionerTest,
                                            Preconditioner::kJacobi,
                                            Preconditioner::kSsor,
                                            Preconditioner::kIncompleteCholesky),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& param_info) {
+                           return to_string(param_info.param);
+                         });
 
 TEST(Cg, ZeroRhsGivesZeroSolution) {
   const SparseMatrix a = poisson1d(10);

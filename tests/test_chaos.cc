@@ -30,6 +30,7 @@
 #include "server/server.h"
 #include "server/session_manager.h"
 #include "tsv/placement_io.h"
+#include "scratch_dir.h"
 
 namespace {
 
@@ -76,13 +77,6 @@ core::IncrementalEngine reference_engine() {
   return core::IncrementalEngine(placement, grid, table, model, opt);
 }
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/tsv_chaos_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 void expect_bitwise_equal(const std::vector<num::SymTensor2>& got,
                           const std::vector<num::SymTensor2>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -103,7 +97,7 @@ const core::Delta kBatch2 = {core::EcoOp::move(2, {5.5, 8.0})};
 // replay (at-least-once durability on the server side; the client's retry
 // of that unacked batch then dedupes).
 TEST(Chaos, KillAfterJournalReplaysBitwiseIdenticalAndDedupes) {
-  const std::string dir = fresh_dir("kill_mid_eco");
+  const std::string dir = testutil::scratch_dir("kill_mid_eco");
 
   const pid_t child = fork();
   ASSERT_GE(child, 0);
@@ -158,7 +152,7 @@ TEST(Chaos, KillAfterJournalReplaysBitwiseIdenticalAndDedupes) {
 // batch. open() removes the stale snapshot when it resets the journal to
 // the open record, making the open record the unambiguous durability root.
 TEST(Chaos, ReopenAfterCloseKillRecoversNewSessionNotStaleSnapshot) {
-  const std::string dir = fresh_dir("reopen_stale_snap");
+  const std::string dir = testutil::scratch_dir("reopen_stale_snap");
 
   const pid_t child = fork();
   ASSERT_GE(child, 0);
@@ -202,7 +196,7 @@ TEST(Chaos, ReopenAfterCloseKillRecoversNewSessionNotStaleSnapshot) {
 // double-apply — but the retry must not be no-op acked while the batch is
 // only in memory. It re-attempts the snapshot and only then acks.
 TEST(Chaos, RetryAfterTotalDurabilityFailureMakesBatchDurableBeforeAcking) {
-  const std::string dir = fresh_dir("durability_gap");
+  const std::string dir = testutil::scratch_dir("durability_gap");
   core::IncrementalEngine reference = reference_engine();
   reference.apply(kBatch1);
   {
@@ -232,7 +226,7 @@ TEST(Chaos, RetryAfterTotalDurabilityFailureMakesBatchDurableBeforeAcking) {
 }
 
 TEST(Chaos, TornJournalTailIsRecoveredLoudly) {
-  const std::string dir = fresh_dir("torn_tail");
+  const std::string dir = testutil::scratch_dir("torn_tail");
   {
     server::SessionManager manager(dir, {});
     manager.open("chip", test_placement(), test_spec());
@@ -260,7 +254,7 @@ TEST(Chaos, TornJournalTailIsRecoveredLoudly) {
 }
 
 TEST(Chaos, JournalWriteFailureFallsBackToSnapshotDurability) {
-  const std::string dir = fresh_dir("write_fail");
+  const std::string dir = testutil::scratch_dir("write_fail");
   core::IncrementalEngine reference = reference_engine();
   reference.apply(kBatch1);
   {
@@ -285,7 +279,7 @@ TEST(Chaos, JournalWriteFailureFallsBackToSnapshotDurability) {
 }
 
 TEST(Chaos, StaleSequenceDedupesAcrossEvictionAndReload) {
-  const std::string dir = fresh_dir("stale_seq");
+  const std::string dir = testutil::scratch_dir("stale_seq");
   core::IncrementalEngine reference = reference_engine();
   reference.apply(kBatch1);
   reference.apply(kBatch2);
@@ -305,7 +299,7 @@ TEST(Chaos, StaleSequenceDedupesAcrossEvictionAndReload) {
 // twice, a daemon restart in the middle) against sequence-number dedupe
 // ends with a field bitwise identical to applying each batch once.
 TEST(Chaos, RetryStormAcrossDaemonRestartStaysBitwiseCorrect) {
-  const std::string dir = fresh_dir("retry_storm");
+  const std::string dir = testutil::scratch_dir("retry_storm");
   server::ServerOptions options;
   options.unix_path = dir + "/daemon.sock";
   options.snapshot_dir = dir + "/snaps";

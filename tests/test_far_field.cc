@@ -21,6 +21,7 @@
 #include "core/interactive_stage.h"
 #include "io/snapshot.h"
 #include "tsv/generators.h"
+#include "scratch_dir.h"
 
 namespace tsv::core {
 namespace {
@@ -386,7 +387,7 @@ TEST(FarField, EngineSnapshotRoundTripsFarFieldOptions) {
   IncrementalEngine engine(d.placement, d.grid, shared_table(), fresh_model(),
                            opt);
 
-  const std::string path = ::testing::TempDir() + "/farfield_engine.snap";
+  const std::string path = testutil::scratch_file("farfield_engine.snap");
   io::save_engine_state(path, engine);
   const IncrementalEngine loaded = io::load_engine_state(path);
   const InteractiveOptions& got = loaded.options().stage2;

@@ -33,6 +33,7 @@
 #include "fem/thermo_solver.h"
 #include "io/snapshot.h"
 #include "tsv/generators.h"
+#include "scratch_dir.h"
 
 namespace tsv {
 namespace {
@@ -40,7 +41,7 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return testutil::scratch_file(name);
 }
 
 // --- registry semantics --------------------------------------------------

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "geometry/point.h"
+#include "scratch_dir.h"
 
 namespace tsv::tsvlib {
 namespace {
@@ -118,8 +119,7 @@ TEST(FullChip, ImpossiblePackingThrows) {
 
 TEST(FullChip, CsvExportRoundTrips) {
   const FullChipDesign d = make_fullchip(kS, small_spec(3));
-  const std::string path =
-      ::testing::TempDir() + "/fullchip_roundtrip.csv";
+  const std::string path = testutil::scratch_file("fullchip_roundtrip.csv");
   write_fullchip_csv(path, d);
 
   std::ifstream in(path);

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <random>
+#include <string>
 
+#include "analytic/surrogate.h"
+#include "numeric/parallel.h"
 #include "tsv/generators.h"
 
 namespace tsv::core {
@@ -233,6 +240,152 @@ TEST(InteractiveStage, FiveCrossSymmetry) {
   const num::SymTensor2 b = stage.stress_at({-1.0, 4.0});  // rotated 90 deg
   EXPECT_NEAR(num::von_mises_plane_stress(a), num::von_mises_plane_stress(b),
               1e-9);
+}
+
+// --- Pair-order lock ---------------------------------------------------------
+//
+// evaluate_with_pairs reuses a victim's point query and gather across the
+// victim's run of pairs. The lock: for every thread count, its output is
+// bitwise the plain reference below — each chunk of the pair list (the
+// chunking of num::parallel_reduce) walks its pairs in order, evaluates each
+// pair over the points within the influence radius of its victim through
+// the batch kernel, scatters, and the chunk partials merge in order. Pair
+// lists come grouped by victim (victim runs straddle chunk boundaries at 3
+// and 4 threads) and deliberately interleaved.
+
+using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+using BatchKernel =
+    std::function<void(const geo::Point& victim, const geo::Point& aggressor,
+                        const geo::Point* points, std::size_t n,
+                        num::SymTensor2* out)>;
+
+std::vector<num::SymTensor2> reference_pair_loop(
+    const std::vector<geo::Point>& centers,
+    const std::vector<geo::Point>& points, const PairList& pairs,
+    double radius, std::size_t threads, const BatchKernel& kernel) {
+  const std::size_t chunks = std::min(threads, pairs.size());
+  std::vector<num::SymTensor2> total(points.size());
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::vector<num::SymTensor2> part(points.size());
+    const auto [begin, end] = num::chunk_bounds(pairs.size(), chunks, c);
+    for (std::size_t k = begin; k < end; ++k) {
+      const geo::Point& victim = centers[pairs[k].first];
+      const geo::Point& aggressor = centers[pairs[k].second];
+      std::vector<std::uint32_t> near;
+      std::vector<geo::Point> gathered;
+      for (std::uint32_t i = 0; i < points.size(); ++i) {
+        if (geo::distance_squared(points[i], victim) <= radius * radius) {
+          near.push_back(i);
+          gathered.push_back(points[i]);
+        }
+      }
+      std::vector<num::SymTensor2> contrib(near.size());
+      kernel(victim, aggressor, gathered.data(), gathered.size(),
+             contrib.data());
+      for (std::size_t j = 0; j < near.size(); ++j) part[near[j]] += contrib[j];
+    }
+    if (c == 0) {
+      total = std::move(part);
+    } else {
+      for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
+    }
+  }
+  return total;
+}
+
+void expect_bitwise(const std::vector<num::SymTensor2>& got,
+                    const std::vector<num::SymTensor2>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        want.size() * sizeof(num::SymTensor2)),
+            0)
+      << what;
+}
+
+/// The grouped pair list of `stage` plus a seeded shuffle of it, where
+/// consecutive pairs almost never share a victim.
+std::vector<std::pair<const char*, PairList>> lock_pair_lists(
+    const InteractiveStage& stage) {
+  PairList grouped = stage.ordered_pairs();
+  PairList interleaved = grouped;
+  std::mt19937_64 rng(1234);
+  std::shuffle(interleaved.begin(), interleaved.end(), rng);
+  return {{"grouped", grouped}, {"interleaved", interleaved}};
+}
+
+std::vector<geo::Point> lock_points(const tsvlib::Placement& placement) {
+  std::vector<geo::Point> pts;
+  const geo::Box roi = placement.bounding_box().expanded(8.0);
+  for (double x = roi.lo.x; x <= roi.hi.x; x += 2.3)
+    for (double y = roi.lo.y; y <= roi.hi.y; y += 1.9) pts.push_back({x, y});
+  return pts;
+}
+
+TEST(InteractiveStagePairOrderLock, SurrogatePathIsBitwiseThePlainPairLoop) {
+  // A private model: the shared one must stay surrogate-free for the rest
+  // of the suite. Every pitch of the jittered array (>= 10 um, <= the
+  // 25 um cutoff) lies in the fitted domain.
+  const auto model = std::make_shared<const ana::InteractiveStressModel>(
+      kS, mat::ThermalLoad{});
+  const auto sur = std::make_shared<const ana::PairSurrogate>(
+      ana::PairSurrogate::fit(*model));
+  model->attach_surrogate(sur);
+  const tsvlib::Placement cluster =
+      tsvlib::make_jittered_array(kS, 30, 1.0e-2, 10.0, 777);
+  const std::vector<geo::Point> pts = lock_points(cluster);
+  const BatchKernel kernel = [&](const geo::Point& v, const geo::Point& a,
+                                 const geo::Point* p, std::size_t n,
+                                 num::SymTensor2* out) {
+    ASSERT_TRUE(sur->covers(geo::distance(v, a)));
+    sur->accumulate(v, a, p, n, out);
+  };
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    InteractiveOptions opt;
+    opt.num_threads = threads;
+    opt.surrogate_tolerance = sur->certificate().certified_rel_bound;
+    const InteractiveStage stage(cluster, model, opt);
+    for (const auto& [name, pairs] : lock_pair_lists(stage)) {
+      sur->reset_use_stats();
+      const auto got = stage.evaluate_with_pairs(pts, pairs);
+      EXPECT_EQ(sur->use_stats().surrogate_pairs, pairs.size());
+      expect_bitwise(got,
+                     reference_pair_loop(cluster.centers(), pts, pairs,
+                                         opt.influence_radius, threads,
+                                         kernel),
+                     std::string(name) + " @ " + std::to_string(threads) +
+                         " threads");
+    }
+  }
+}
+
+TEST(InteractiveStagePairOrderLock, LookupTablePathIsBitwiseThePlainPairLoop) {
+  const tsvlib::Placement cluster =
+      tsvlib::make_jittered_array(kS, 30, 1.0e-2, 10.0, 777);
+  const std::vector<geo::Point> pts = lock_points(cluster);
+  for (const std::size_t threads : {1u, 3u, 4u}) {
+    InteractiveOptions opt;
+    opt.num_threads = threads;
+    opt.use_lookup_table = true;
+    opt.pitch_quant_step = 0.25;
+    const InteractiveStage stage(cluster, make_model(), opt);
+    const BatchKernel kernel = [&](const geo::Point& v, const geo::Point& a,
+                                   const geo::Point* p, std::size_t n,
+                                   num::SymTensor2* out) {
+      make_model()
+          ->table_for_pitch(geo::distance(v, a), opt.influence_radius,
+                            opt.pitch_quant_step)
+          .accumulate(v, a, p, n, out);
+    };
+    for (const auto& [name, pairs] : lock_pair_lists(stage)) {
+      expect_bitwise(stage.evaluate_with_pairs(pts, pairs),
+                     reference_pair_loop(cluster.centers(), pts, pairs,
+                                         opt.influence_radius, threads,
+                                         kernel),
+                     std::string(name) + " @ " + std::to_string(threads) +
+                         " threads");
+    }
+  }
 }
 
 }  // namespace

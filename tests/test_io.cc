@@ -7,12 +7,13 @@
 #include "core/line_scan.h"
 #include "io/csv.h"
 #include "io/table_printer.h"
+#include "scratch_dir.h"
 
 namespace tsv {
 namespace {
 
 std::string temp_path(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return testutil::scratch_file(name);
 }
 
 std::string slurp(const std::string& path) {

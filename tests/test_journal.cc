@@ -16,16 +16,14 @@
 #include "core/incremental_engine.h"
 #include "io/journal.h"
 #include "numeric/fault_injection.h"
+#include "scratch_dir.h"
 
 namespace {
 
 using namespace tsv;
 
 std::string fresh_path(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/tsv_journal_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir + "/session.jrnl";
+  return testutil::scratch_dir(name) + "/session.jrnl";
 }
 
 std::uint64_t file_size(const std::string& path) {

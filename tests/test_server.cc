@@ -33,6 +33,7 @@
 #include "server/server.h"
 #include "server/session_manager.h"
 #include "tsv/placement_io.h"
+#include "scratch_dir.h"
 
 namespace {
 
@@ -76,13 +77,6 @@ core::IncrementalEngine reference_engine(const tsvlib::Placement& placement,
   const geo::Box roi = placement.bounding_box().expanded(spec.margin);
   const geo::SampleGrid grid = geo::SampleGrid::with_spacing(roi, spec.spacing);
   return core::IncrementalEngine(placement, grid, table, model, opt);
-}
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/tsv_server_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 // --- JSON ------------------------------------------------------------------
@@ -177,7 +171,7 @@ TEST(ServerProtocol, ExpectOkMapsWireCategoriesToExceptions) {
 TEST(SessionManager, RefusesOversizedSessionWithResourceLimit) {
   server::SessionLimits limits;
   limits.session_budget_bytes = 1024;  // nothing real fits
-  server::SessionManager manager(fresh_dir("tiny_budget"), limits);
+  server::SessionManager manager(testutil::scratch_dir("tiny_budget"), limits);
   EXPECT_THROW(manager.open("big", test_placement(), test_spec()),
                ResourceLimitError);
   EXPECT_THROW(manager.use("big"), InvalidInputError);  // not registered
@@ -185,7 +179,7 @@ TEST(SessionManager, RefusesOversizedSessionWithResourceLimit) {
 }
 
 TEST(SessionManager, RejectsBadNamesAndDuplicates) {
-  server::SessionManager manager(fresh_dir("names"), {});
+  server::SessionManager manager(testutil::scratch_dir("names"), {});
   EXPECT_THROW(manager.open("../escape", test_placement(), test_spec()),
                InvalidInputError);
   EXPECT_THROW(manager.open("", test_placement(), test_spec()),
@@ -196,7 +190,7 @@ TEST(SessionManager, RejectsBadNamesAndDuplicates) {
 }
 
 TEST(SessionManager, EvictionReloadsBitwiseIdenticalFields) {
-  const std::string dir = fresh_dir("evict_reload");
+  const std::string dir = testutil::scratch_dir("evict_reload");
   server::SessionManager manager(dir, {});
   manager.open("a", test_placement(), test_spec());
 
@@ -225,8 +219,8 @@ TEST(SessionManager, EvictionReloadsBitwiseIdenticalFields) {
 }
 
 TEST(SessionManager, GlobalBudgetEvictsLruSessionToAdmitNew) {
-  const std::string dir = fresh_dir("lru");
-  server::SessionManager probe_mgr(fresh_dir("lru_probe"), {});
+  const std::string dir = testutil::scratch_dir("lru");
+  server::SessionManager probe_mgr(testutil::scratch_dir("lru_probe"), {});
   probe_mgr.open("probe", test_placement(), test_spec());
   const std::uint64_t one_session =
       probe_mgr.stats().sessions.at(0).estimated_bytes;
@@ -249,7 +243,7 @@ TEST(SessionManager, GlobalBudgetEvictsLruSessionToAdmitNew) {
 }
 
 TEST(SessionManager, RecoversSessionsFromSnapshotDirectory) {
-  const std::string dir = fresh_dir("recovery");
+  const std::string dir = testutil::scratch_dir("recovery");
   std::vector<num::SymTensor2> before;
   {
     server::SessionManager manager(dir, {});
@@ -270,7 +264,7 @@ TEST(SessionManager, RecoversSessionsFromSnapshotDirectory) {
 }
 
 TEST(SessionManager, CorruptSnapshotSurfacesIoCorruptionOnReload) {
-  const std::string dir = fresh_dir("corrupt");
+  const std::string dir = testutil::scratch_dir("corrupt");
   server::SessionManager manager(dir, {});
   manager.open("fragile", test_placement(), test_spec());
   manager.evict("fragile");
@@ -294,7 +288,7 @@ TEST(SessionManager, CorruptSnapshotSurfacesIoCorruptionOnReload) {
 }
 
 TEST(SessionManager, CloseDiscardRemovesSessionAndSnapshot) {
-  const std::string dir = fresh_dir("close");
+  const std::string dir = testutil::scratch_dir("close");
   server::SessionManager manager(dir, {});
   manager.open("gone", test_placement(), test_spec());
   manager.evict("gone");
@@ -308,7 +302,7 @@ TEST(SessionManager, CloseDiscardRemovesSessionAndSnapshot) {
 class ServerEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fresh_dir("daemon");
+    dir_ = testutil::scratch_dir("daemon");
     server::ServerOptions options;
     options.unix_path = dir_ + "/daemon.sock";
     options.snapshot_dir = dir_ + "/snaps";
@@ -633,7 +627,7 @@ TEST_F(ServerEndToEnd, FinishedConnectionThreadsAreReaped) {
 class DeadlineServer : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fresh_dir("deadline_daemon");
+    dir_ = testutil::scratch_dir("deadline_daemon");
     server::ServerOptions options;
     options.unix_path = dir_ + "/daemon.sock";
     options.snapshot_dir = dir_ + "/snaps";
@@ -693,7 +687,7 @@ TEST_F(DeadlineServer, IdleConnectionsAreClosedQuietly) {
 
 TEST_F(ServerEndToEnd, ResourceLimitRefusalCrossesTheWireAsCode5) {
   // A second daemon with a hopeless per-session budget.
-  const std::string dir = fresh_dir("budget_daemon");
+  const std::string dir = testutil::scratch_dir("budget_daemon");
   server::ServerOptions options;
   options.unix_path = dir + "/daemon.sock";
   options.snapshot_dir = dir + "/snaps";

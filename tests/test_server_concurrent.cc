@@ -19,6 +19,7 @@
 
 #include "server/session_manager.h"
 #include "tsv/placement_io.h"
+#include "scratch_dir.h"
 
 namespace {
 
@@ -102,16 +103,9 @@ void expect_bitwise_equal(
   }
 }
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/tsv_concurrent_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 TEST(ServerConcurrent, ParallelSessionsMatchSerialIsolationBitwise) {
   // Serial reference: each session runs its whole script alone.
-  server::SessionManager serial(fresh_dir("serial"), {});
+  server::SessionManager serial(testutil::scratch_dir("serial"), {});
   serial.open("a", placement_from(kDesignA), spec());
   serial.open("b", placement_from(kDesignB), spec());
   const auto ref_a = run_script(serial, "a", 0.0);
@@ -119,7 +113,7 @@ TEST(ServerConcurrent, ParallelSessionsMatchSerialIsolationBitwise) {
 
   // Concurrent run: both scripts at once, plus a stats hammer to exercise
   // the counters/summary locking while engines are busy.
-  server::SessionManager concurrent(fresh_dir("concurrent"), {});
+  server::SessionManager concurrent(testutil::scratch_dir("concurrent"), {});
   concurrent.open("a", placement_from(kDesignA), spec());
   concurrent.open("b", placement_from(kDesignB), spec());
   std::vector<std::vector<num::SymTensor2>> got_a;
@@ -157,7 +151,7 @@ TEST(ServerConcurrent, EvictionPingPongDoesNotPerturbResults) {
   // unlimited serial runs bitwise. (Interleaved on one thread on purpose:
   // with both sessions *simultaneously* busy and no idle victim, admission
   // correctly refuses the reload rather than evicting a busy session.)
-  server::SessionManager serial(fresh_dir("pp_serial"), {});
+  server::SessionManager serial(testutil::scratch_dir("pp_serial"), {});
   serial.open("a", placement_from(kDesignA), spec());
   serial.open("b", placement_from(kDesignB), spec());
   const auto ref_a = run_script(serial, "a", 0.0);
@@ -171,7 +165,7 @@ TEST(ServerConcurrent, EvictionPingPongDoesNotPerturbResults) {
 
   server::SessionLimits limits;
   limits.global_budget_bytes = largest + largest / 4;
-  server::SessionManager tight(fresh_dir("pp_tight"), limits);
+  server::SessionManager tight(testutil::scratch_dir("pp_tight"), limits);
   tight.open("a", placement_from(kDesignA), spec());
   tight.open("b", placement_from(kDesignB), spec());
   std::vector<std::vector<num::SymTensor2>> got_a;

@@ -17,6 +17,7 @@
 #include "core/incremental_engine.h"
 #include "numeric/fault_injection.h"
 #include "tsv/generators.h"
+#include "scratch_dir.h"
 
 namespace tsv::io {
 namespace {
@@ -24,7 +25,7 @@ namespace {
 const tsvlib::TsvStructure kS = tsvlib::TsvStructure::baseline_bcb();
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return testutil::scratch_file(name);
 }
 
 std::string read_bytes(const std::string& path) {

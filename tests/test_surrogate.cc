@@ -26,6 +26,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <numbers>
 #include <random>
@@ -39,6 +40,7 @@
 #include "core/stress_table.h"
 #include "io/snapshot.h"
 #include "tsv/generators.h"
+#include "scratch_dir.h"
 
 namespace tsv::ana {
 namespace {
@@ -296,7 +298,7 @@ TEST(Surrogate, ThetaMirrorShearAntisymmetryIsExact) {
 
 TEST(Surrogate, SnapshotRoundTripIsBitwise) {
   const PairSurrogate& sur = fitted();
-  const std::string path = ::testing::TempDir() + "surrogate_roundtrip.snap";
+  const std::string path = testutil::scratch_file("surrogate_roundtrip.snap");
   io::save_surrogate(path, sur);
 
   const io::SnapshotInfo info = io::read_snapshot_info(path);
@@ -496,6 +498,103 @@ TEST(Surrogate, IncrementalEngineDispatchesThroughTheSurrogate) {
     EXPECT_NEAR(got[i].s12, want[i].s12, 1e-9) << i;
   }
   fitted_shared()->reset_use_stats();
+}
+
+// The per-thread contraction memo holds several pitches of several
+// surrogates. Cycling more distinct pitches than it has ways (so ways are
+// evicted and refilled) over two interleaved surrogates must never change a
+// value: every stress_at equals the same call on a fresh thread, whose memo
+// has only ever seen that one pitch.
+TEST(Surrogate, MultiWayMemoIsBitwiseAFreshSinglePitchCall) {
+  const PairSurrogate& first = fitted();
+  // A second surrogate with different coefficients, so a hit on the wrong
+  // surrogate's way would show in the values.
+  PairSurrogate::Data data = first.to_data();
+  for (PairSurrogate::Data::Segment& seg : data.segments)
+    for (double& c : seg.coeffs) c *= 1.5;
+  const PairSurrogate second(std::move(data));
+  const PairSurrogate* surrogates[] = {&first, &second};
+
+  constexpr std::size_t kPitches = 40;  // well above the memo's ways
+  std::vector<geo::Point> aggressors;
+  for (std::size_t i = 0; i < kPitches; ++i) {
+    const double pitch = 8.0 + 17.0 * static_cast<double>(i) /
+                                   static_cast<double>(kPitches - 1);
+    const double phi = 0.37 * static_cast<double>(i);
+    aggressors.push_back({pitch * std::cos(phi), pitch * std::sin(phi)});
+  }
+  const geo::Point victim{0.0, 0.0};
+  const geo::Point p{3.7, -2.1};
+  num::SymTensor2 fresh[2][kPitches];
+  for (std::size_t s = 0; s < 2; ++s) {
+    for (std::size_t i = 0; i < kPitches; ++i) {
+      std::thread([&] {
+        fresh[s][i] = surrogates[s]->stress_at(victim, aggressors[i], p);
+      }).join();
+    }
+  }
+
+  // Sequential sweeps (every access evicts), a small working set (hits),
+  // and a strided walk, each alternating between the two surrogates.
+  std::vector<std::size_t> order;
+  for (int rep = 0; rep < 3; ++rep)
+    for (std::size_t i = 0; i < kPitches; ++i) order.push_back(i);
+  for (int rep = 0; rep < 5; ++rep)
+    for (std::size_t i = 0; i < 6; ++i) order.push_back((7 * i) % kPitches);
+  for (std::size_t i = 0; i < 3 * kPitches; ++i)
+    order.push_back((i * 17) % kPitches);
+  std::size_t k = 0;
+  for (const std::size_t i : order) {
+    for (std::size_t s = 0; s < 2; ++s, ++k) {
+      const std::size_t which = (k / 3) % 2 == 0 ? s : 1 - s;
+      const num::SymTensor2 got =
+          surrogates[which]->stress_at(victim, aggressors[i], p);
+      EXPECT_EQ(std::memcmp(&got, &fresh[which][i], sizeof(got)), 0)
+          << "surrogate " << which << " pitch index " << i << " access "
+          << k;
+    }
+  }
+  // The two surrogates really differ, so the check above can tell them
+  // apart.
+  EXPECT_NE(fresh[0][0].s11, fresh[1][0].s11);
+}
+
+// Every compiled variant of the pitch contraction is bitwise the plain
+// scalar loop: the same multiply and add per term, in plane order, with no
+// fused multiply-add. Block sizes cover whole register strips, single
+// registers, and scalar tails.
+TEST(Surrogate, ContractionVariantsAreBitwiseThePlainLoop) {
+  std::mt19937_64 rng(61);
+  std::uniform_real_distribution<double> coeff(-1.0e3, 1.0e3);
+  std::uniform_real_distribution<double> weight(-1.0, 1.0);
+  const std::vector<SurrogateIsa> isas = host_surrogate_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(isas.front(), SurrogateIsa::kGeneric);
+  for (const std::size_t planes : {2u, 7u, 16u}) {
+    for (const std::size_t block : {1u, 3u, 8u, 37u, 150u, 840u}) {
+      std::vector<double> src(planes * block);
+      for (double& c : src) c = coeff(rng);
+      std::vector<double> t(planes);
+      for (double& w : t) w = weight(rng);
+      std::vector<double> want(block);
+      for (std::size_t q = 0; q < block; ++q) {
+        double acc = src[q];
+        for (std::size_t a = 1; a < planes; ++a)
+          acc += t[a] * src[a * block + q];
+        want[q] = acc;
+      }
+      for (const SurrogateIsa isa : isas) {
+        std::vector<double> got(block, -1.0);
+        contract_pitch_planes(isa, src.data(), planes, block, t.data(),
+                              got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              block * sizeof(double)),
+                  0)
+            << "isa " << static_cast<int>(isa) << " planes " << planes
+            << " block " << block;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,7 +11,16 @@ committed baseline (tools/kernel_baseline.json) and fails when
     host-speed independent — drops below the baseline's `min_speedup`
     floor. For stage1_point/stage2_point the speedup is batch-vs-scalar;
     for stage2_surrogate it is surrogate-batch vs Stage II *table* batch
-    (the certified fast path's advertised >= 2.5x advantage).
+    (the certified fast path's advertised >= 2.5x advantage), or
+  * a ratio-gated kernel's same-run "ratio" exceeds its `max_ratio`. The
+    stage2_surrogate_pairs row runs the surrogate over the ordered pairs of
+    a 1k-TSV full-chip design, so unlike the fixed-pitch stage2_surrogate
+    row it pays the pitch contraction on every memo miss; its ratio is its
+    ns_per_eval over the fixed-pitch batch workload ("ratio_to" in the
+    baseline), timed in alternation with it in the same run, which keeps
+    the contraction's share of a real pair sweep visible without depending
+    on host speed, even when that speed drifts during the run. These kernels carry no
+    absolute timing gate.
 
 With --variation, the guard additionally checks bench_variation's
 results/variation.jsonl against the baseline's "variation" section: at the
@@ -55,6 +64,12 @@ DEFAULT_MIN_SPEEDUP = {
     "stage2_point": 1.2,
     "stage2_surrogate": 2.5,
 }
+# Kernels gated only by a same-run ratio to another kernel's batch row, with
+# the gate used when the baseline has none yet.
+DEFAULT_RATIO_GATES = {
+    "stage2_surrogate_pairs": {"ratio_to": "stage2_surrogate",
+                               "max_ratio": 1.8},
+}
 
 
 def latest_rows(path):
@@ -74,13 +89,18 @@ def latest_rows(path):
 
 def write_baseline(rows, baseline_path, old, max_regression):
     kernels = {}
+    old_kernels = old.get("kernels", {})
     for (kernel, mode), row in sorted(rows.items()):
+        if kernel in DEFAULT_RATIO_GATES:
+            continue
         spec = kernels.setdefault(kernel, {})
         spec[f"{mode}_ns_per_eval"] = row["ns_per_eval"]
     for kernel, spec in kernels.items():
-        old_spec = old.get("kernels", {}).get(kernel, {})
+        old_spec = old_kernels.get(kernel, {})
         spec["min_speedup"] = old_spec.get(
             "min_speedup", DEFAULT_MIN_SPEEDUP.get(kernel, 1.0))
+    for kernel, gate in DEFAULT_RATIO_GATES.items():
+        kernels[kernel] = old_kernels.get(kernel, gate)
     data = {"max_regression": max_regression, "kernels": kernels}
     if "variation" in old:
         data["variation"] = old["variation"]
@@ -225,10 +245,31 @@ def check_farfield(path, baseline):
     return failures
 
 
+def check_ratio(rows, kernel, spec):
+    """Same-run ratio gate: the kernel's batch row carries its ns_per_eval
+    over the batch row of spec["ratio_to"] from the same bench run."""
+    ref = spec["ratio_to"]
+    limit = spec["max_ratio"]
+    row = rows.get((kernel, "batch"))
+    if row is None or "ratio" not in row:
+        return [f"{kernel}/batch: no row with a ratio in kernels.jsonl"]
+    ratio = row["ratio"]
+    verdict = "ok" if ratio <= limit else "ABOVE LIMIT"
+    print(f"{kernel}: {row['ns_per_eval']:.3f} ns/eval, {ratio:.3f}x the "
+          f"{ref} batch row (limit {limit:.3f}x) {verdict}")
+    if ratio > limit:
+        return [f"{kernel}: {ratio:.3f}x the {ref} batch row exceeds the "
+                f"limit {limit:.3f}x"]
+    return []
+
+
 def check(rows, baseline):
     failures = []
     max_regression = baseline.get("max_regression", 0.25)
     for kernel, spec in baseline["kernels"].items():
+        if "ratio_to" in spec:
+            failures += check_ratio(rows, kernel, spec)
+            continue
         for mode in MODES:
             key = f"{mode}_ns_per_eval"
             if key not in spec:
