@@ -1,7 +1,7 @@
 // Full-chip scalability bench: synthetic designs (regular arrays +
 // clustered banks + random logic TSVs, see tsv/fullchip.h) evaluated with
 // the tiled streaming driver. For each design size it times Stage I and
-// three Stage II configurations at equal thread count:
+// the Stage II configurations at equal thread count:
 //
 //   series   — the exact potential series (the accuracy-bench path),
 //   lookup   — the polar look-up table with exact-pitch caching: regular
@@ -14,12 +14,6 @@
 //              fitted once up front; pairs whose pitch falls outside the
 //              fitted domain fall back to the quantized table cache, and
 //              the per-design fallback counters are reported.
-//   farfield — the hierarchical far-field aggregate (core/far_field.h) on
-//              top of the surrogate+quant configuration: pairs are exact
-//              only inside the blend disc and the thin edge ring, the
-//              mid-zone comes from per-cluster bicubic tiles. The row
-//              reports the build (fold) time, the machine-checked
-//              certificate bound, and the fold dispatch counters.
 //
 // Above kSeriesLimit TSVs the exact-series row is skipped (it dominates
 // wall time); accuracy is still measured exactly by evaluating the exact
@@ -54,7 +48,6 @@
 
 #include "analytic/surrogate.h"
 #include "common.h"
-#include "core/far_field.h"
 #include "core/tiled_evaluator.h"
 #include "io/snapshot.h"
 #include "io/table_printer.h"
@@ -132,15 +125,8 @@ struct RunResult {
   std::size_t tables = 0;
   double max_vm = 0.0;
   double wall_seconds = 0.0;  ///< full evaluate() wall time, consumer included
-  double build_seconds = 0.0;  ///< framework ctor (includes far-field fold)
   std::vector<tsv::num::SymTensor2> probe;  ///< strided field subsample
   std::vector<tsv::geo::Point> probe_pts;   ///< coordinates of the probes
-  // Far-field aggregate reporting (farfield row only).
-  bool far_active = false;
-  double far_bound = -1.0;
-  std::size_t far_clusters = 0;
-  tsv::core::FarFieldBuildStats far_stats;
-  double far_tile_mb = 0.0;
 };
 
 }  // namespace
@@ -210,7 +196,7 @@ int main(int argc, char** argv) {
     std::size_t ckpt_every = 8;
     const auto run = [&](bool lookup, double quant,
                          const std::string& ckpt_path = std::string(),
-                         bool use_surrogate = false, bool use_far = false) {
+                         bool use_surrogate = false) {
       const auto model = std::make_shared<const ana::InteractiveStressModel>(
           response, single.k_hat());
       if (use_surrogate) model->attach_surrogate(surrogate);
@@ -218,29 +204,12 @@ int main(int argc, char** argv) {
       fopt.num_threads = threads;
       fopt.stage2.use_lookup_table = lookup;
       fopt.stage2.pitch_quant_step = quant;
-      fopt.stage2.use_far_field = use_far;
-      const auto build_start = std::chrono::steady_clock::now();
       const core::StressFramework framework(design.placement, table, model,
                                             fopt);
       core::TiledOptions topt;
       topt.max_tile_points = opt.tile_points;
       const core::TiledEvaluator tiled(framework, topt);
       RunResult r;
-      r.build_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - build_start)
-                            .count();
-      if (use_far && framework.stage2() != nullptr) {
-        const core::FarFieldAggregate* far =
-            framework.stage2()->attached_far_field();
-        if (far != nullptr) {
-          r.far_active = framework.stage2()->active_far_field() != nullptr;
-          r.far_bound = far->certificate().certified_rel_bound;
-          r.far_clusters = far->cluster_count();
-          r.far_stats = far->build_stats();
-          r.far_tile_mb =
-              static_cast<double>(far->tile_bytes()) / (1024.0 * 1024.0);
-        }
-      }
       std::size_t seen = 0;
       const auto consume = [&](const core::Tile& tile) {
         for (std::size_t i = 0; i < tile.stress.size(); ++i, ++seen) {
@@ -293,14 +262,6 @@ int main(int argc, char** argv) {
     const RunResult surro = run(true, opt.quant_step, std::string(), true);
     const ana::SurrogateUseStats sur_use = surrogate->use_stats();
 
-    // Hierarchical far-field row: surrogate + quantized cache for the near
-    // disc and edge ring, per-cluster bicubic tiles for the mid zone. The
-    // fold (framework build) is timed separately from the evaluate.
-    surrogate->reset_use_stats();
-    const RunResult farf = run(true, opt.quant_step, std::string(), true,
-                               true);
-    const ana::SurrogateUseStats far_use = surrogate->use_stats();
-
     // Checkpointed re-run of the quantized configuration: same field, plus
     // resumable checkpoints (io::evaluate_with_checkpoint). Each checkpoint
     // holds the whole finished prefix of the field, so the cadence sets the
@@ -342,7 +303,6 @@ int main(int argc, char** argv) {
     double scale = 0.0;
     double worst = 0.0;
     double sur_worst = 0.0;
-    double far_worst = 0.0;
     for (std::size_t i = 0; i < exact_probe.size(); ++i) {
       scale = std::max({scale, std::abs(exact_probe[i].s11),
                         std::abs(exact_probe[i].s22)});
@@ -355,15 +315,9 @@ int main(int argc, char** argv) {
                             std::abs(surro.probe[i].s22 - exact_probe[i].s22),
                             std::abs(surro.probe[i].s12 -
                                      exact_probe[i].s12)});
-      far_worst = std::max({far_worst,
-                            std::abs(farf.probe[i].s11 - exact_probe[i].s11),
-                            std::abs(farf.probe[i].s22 - exact_probe[i].s22),
-                            std::abs(farf.probe[i].s12 -
-                                     exact_probe[i].s12)});
     }
     const double field_err = scale > 0.0 ? worst / scale : 0.0;
     const double sur_field_err = scale > 0.0 ? sur_worst / scale : 0.0;
-    const double far_field_err = scale > 0.0 ? far_worst / scale : 0.0;
 
     io::TablePrinter out({"stage II path", "stageI(s)", "stageII(s)",
                           "tables", "hits", "misses", "hit%"});
@@ -378,7 +332,6 @@ int main(int argc, char** argv) {
     if (ran_uncached) add_row("lookup (exact pitch)", lookup);
     add_row("lookup (quantized)", quant);
     add_row("surrogate (+quant fb)", surro);
-    add_row("farfield (hier tiles)", farf);
     out.print(std::cout);
 
     const double speedup_vs_lookup =
@@ -425,20 +378,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sur_use.surrogate_pairs),
                 static_cast<unsigned long long>(sur_use.fallback_pairs),
                 100.0 * sur_field_err);
-    std::printf("farfield: %s (cert bound %.4f, tol 1e-2); build (fold) "
-                "%.3f s, %zu clusters, %.1f MB tiles; fold pairs %zu "
-                "(%zu surrogate / %zu table / %zu series); stage II %.3f s "
-                "(%.1fx vs quantized); field vs series max dev %.4f%% of "
-                "scale\n",
-                farf.far_active ? "ACTIVE" : "INERT (gate rejected)",
-                farf.far_bound, farf.build_seconds, farf.far_clusters,
-                farf.far_tile_mb, farf.far_stats.pairs,
-                farf.far_stats.surrogate_pairs, farf.far_stats.table_pairs,
-                farf.far_stats.series_pairs, farf.stats.stage2_seconds,
-                farf.stats.stage2_seconds > 0.0
-                    ? quant.stats.stage2_seconds / farf.stats.stage2_seconds
-                    : 0.0,
-                100.0 * far_field_err);
     std::printf("checkpointing (every %zu tiles): %zu checkpoints, %.3f s "
                 "writing; wall %.3f s vs %.3f s plain (min of 2 each) -> "
                 "overhead %+.2f%%\n",
@@ -470,19 +409,6 @@ int main(int argc, char** argv) {
         .num("surrogate_cert_bound",
              surrogate->certificate().certified_rel_bound, "%.3g")
         .num("surrogate_field_err_frac", sur_field_err, "%.6f")
-        .num("stage2_farfield_s", farf.stats.stage2_seconds, "%.4f")
-        .num("farfield_build_s", farf.build_seconds, "%.4f")
-        .uint("farfield_active", farf.far_active ? 1 : 0)
-        .num("farfield_cert_bound", farf.far_bound, "%.5f")
-        .uint("farfield_clusters", farf.far_clusters)
-        .num("farfield_tile_mb", farf.far_tile_mb, "%.2f")
-        .uint("farfield_fold_pairs", farf.far_stats.pairs)
-        .uint("farfield_fold_surrogate", farf.far_stats.surrogate_pairs)
-        .uint("farfield_fold_table", farf.far_stats.table_pairs)
-        .uint("farfield_fold_series", farf.far_stats.series_pairs)
-        .uint("farfield_near_surrogate", far_use.surrogate_pairs)
-        .uint("farfield_near_fallback", far_use.fallback_pairs)
-        .num("farfield_field_err_frac", far_field_err, "%.6f")
         .num("quant_step_um", opt.quant_step, "%.3g")
         .uint("quant_tables", quant.tables)
         .uint("quant_hits", quant.cache.hits)

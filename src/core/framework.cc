@@ -69,12 +69,6 @@ StressFramework::StressFramework(
     }
     stage2_ = std::make_unique<InteractiveStage>(placement, model_,
                                                  options_.stage2);
-    if (options_.stage2.use_far_field && placement.size() >= 2) {
-      // Fold the far field once at construction; the stage only routes
-      // through it when the build's certificate passes the tolerance gate.
-      stage2_->attach_far_field(FarFieldAggregate::build(
-          placement, *model_, options_.stage2, options_.stage2.far_field));
-    }
   }
 }
 

@@ -80,10 +80,6 @@ struct ApplyStats {
   std::size_t stage2_point_updates = 0;  ///< per-pair disc point ops
   std::size_t removed_pairs = 0;         ///< ordered pairs subtracted
   std::size_t added_pairs = 0;           ///< ordered pairs added
-  /// Far-field maintenance (only when stage2.use_far_field is active):
-  /// cluster tiles re-folded and grid points updated through tile reads.
-  std::size_t clusters_rebuilt = 0;
-  std::size_t farfield_point_updates = 0;
   double seconds = 0.0;
 };
 
@@ -118,13 +114,6 @@ class IncrementalEngine {
   /// Materializes the active TSVs (in id order) as a Placement — the
   /// placement a from-scratch evaluation would see.
   tsvlib::Placement placement() const;
-
-  /// The engine's far-field aggregate (lazily built on the first
-  /// evaluation/apply that needs it; nullptr when stage2.use_far_field is
-  /// off or nothing has needed it yet). The engine keeps it synchronized
-  /// with the placement: an edit re-folds exactly the clusters whose pair
-  /// set changed.
-  const FarFieldAggregate* far_field() const { return far_.get(); }
 
   /// Accumulated per-point fields, indexed like grid().points().
   const std::vector<num::SymTensor2>& stage1_field() const { return stage1_; }
@@ -195,21 +184,6 @@ class IncrementalEngine {
   void apply_pair(const geo::Point& victim, const geo::Point& aggressor,
                   double sign, ApplyStats& stats);
 
-  /// Far-field variant of apply_pair: only the near disc (the aggregate's
-  /// near radius), weighted by the complementary partition of unity
-  /// 1 - w(r). The far remainder lives in the cluster tiles, which apply()
-  /// maintains separately via FarFieldAggregate::rebuild_cell.
-  void apply_pair_near(const geo::Point& victim, const geo::Point& aggressor,
-                       double sign, ApplyStats& stats);
-
-  /// Calls f(point_index, point) for every grid point inside `box`
-  /// (closed containment, like Box::contains).
-  template <typename F>
-  void for_box_points(const geo::Box& box, F&& f) const;
-
-  /// Builds the far-field aggregate against `current` if absent.
-  void ensure_far_field(const tsvlib::Placement& current) const;
-
   /// Fresh full evaluation of the current active placement.
   void full_evaluate(std::vector<num::SymTensor2>& stage1,
                      std::vector<num::SymTensor2>& stage2) const;
@@ -228,10 +202,6 @@ class IncrementalEngine {
 
   std::vector<num::SymTensor2> stage1_;
   std::vector<num::SymTensor2> stage2_;
-
-  /// Lazily built, incrementally maintained far-field tiles (mutable: the
-  /// const full_evaluate also materializes it on demand for attachment).
-  mutable std::shared_ptr<FarFieldAggregate> far_;
 
   /// Distinct-dirty-point accounting: stamp_[i] == epoch_ marks a point
   /// already counted during the current apply().

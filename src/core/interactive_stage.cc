@@ -1,6 +1,7 @@
 #include "core/interactive_stage.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "analytic/surrogate.h"
@@ -49,9 +50,7 @@ constexpr std::size_t kPairWindow = 32;
 /// while the victim repeats) and one pair's weighted contributions.
 struct PairScratch {
   std::vector<std::uint32_t> affected;
-  std::vector<std::uint32_t> ring;
   std::vector<geo::Point> gathered;
-  std::vector<double> near_w;
   std::vector<num::SymTensor2> contrib;
   std::uint32_t last_victim = kNoVictim;
 };
@@ -108,21 +107,6 @@ num::SymTensor2 InteractiveStage::stress_at(const geo::Point& p) const {
   return sum;
 }
 
-void InteractiveStage::attach_far_field(
-    std::shared_ptr<const FarFieldAggregate> far) {
-  far_ = std::move(far);
-  far_matches_ = far_ != nullptr && far_->compatible_with(options_) &&
-                 far_->placement_fingerprint() ==
-                     fingerprint_centers(placement_.centers());
-}
-
-const FarFieldAggregate* InteractiveStage::active_far_field() const {
-  if (!options_.use_far_field || !far_matches_) return nullptr;
-  return far_->certificate().certified_within(options_.far_field_tolerance)
-             ? far_.get()
-             : nullptr;
-}
-
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs() const {
   const auto& centers = placement_.centers();
@@ -141,10 +125,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>
 InteractiveStage::ordered_pairs_near(const geo::Box& region) const {
   const auto& centers = placement_.centers();
   // Over-query a disc covering the region plus the influence halo, then
-  // keep the victims whose true box distance is within the radius. The
-  // far-field path needs the same reach: its exact edge ring extends to
-  // the influence radius (only the mid zone between blend_r1 and the ring
-  // moves into the tiles).
+  // keep the victims whose true box distance is within the radius.
   const double reach = options_.influence_radius;
   const double half_diag =
       std::hypot(region.width(), region.height()) / 2.0;
@@ -223,18 +204,10 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
           ? model_->surrogate_for(options_.surrogate_tolerance,
                                   options_.influence_radius)
           : nullptr;
-  // Far-field fast path (also gated once per evaluate): each pair is
-  // evaluated exactly only over its near disc (r <= blend_r1) and the thin
-  // edge ring at the influence cutoff, weighted by the complement
-  // 1 - tile_weight(r); the smooth mid-zone remainder is added per point
-  // from the cluster tiles after the pair loop.
-  const FarFieldAggregate* far = active_far_field();
-  // One pair's contributions to the victim's points, each already weighted
-  // by the far-field complement when the far field is active, so that
-  // folding a pair into a field is a plain add per point. The point query,
-  // the gather and the far-field weights depend on the victim only, and
-  // pair lists come grouped by victim, so they are redone only when the
-  // victim changes.
+  // One pair's contributions to the victim's points, so that folding a
+  // pair into a field is a plain add per point. The point query and the
+  // gather depend on the victim only, and pair lists come grouped by
+  // victim, so they are redone only when the victim changes.
   const bool gather = surrogate != nullptr || options_.use_lookup_table;
   const auto compute_pair = [&](std::size_t k, PairScratch& s) {
     const auto [v, a] = pairs[k];
@@ -242,21 +215,7 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
     const geo::Point& aggressor = centers[a];
     if (v != s.last_victim) {
       s.last_victim = v;
-      if (far != nullptr) {
-        point_index.query_radius(victim, far->near_radius(), s.affected);
-        point_index.query_annulus(victim, far->edge_inner(),
-                                  options_.influence_radius, s.ring);
-        s.affected.insert(s.affected.end(), s.ring.begin(), s.ring.end());
-        s.near_w.resize(s.affected.size());
-        for (std::size_t j = 0; j < s.affected.size(); ++j) {
-          s.near_w[j] =
-              1.0 - tile_weight(geo::distance(points[s.affected[j]], victim),
-                                far->options(), options_.influence_radius);
-        }
-      } else {
-        point_index.query_radius(victim, options_.influence_radius,
-                                 s.affected);
-      }
+      point_index.query_radius(victim, options_.influence_radius, s.affected);
       if (gather) {
         s.gathered.resize(s.affected.size());
         for (std::size_t j = 0; j < s.affected.size(); ++j)
@@ -284,10 +243,6 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
           s.contrib[j] = model_->stress_with_combined(
               combined, victim, aggressor, pitch, points[s.affected[j]]);
       }
-    }
-    if (far != nullptr) {
-      for (std::size_t j = 0; j < m; ++j)
-        s.contrib[j] = s.near_w[j] * s.contrib[j];
     }
   };
 
@@ -333,13 +288,6 @@ std::vector<num::SymTensor2> InteractiveStage::evaluate_pairs(
            const std::vector<num::SymTensor2>& part) {
           for (std::size_t n = 0; n < total.size(); ++n) total[n] += part[n];
         });
-  }
-  if (far != nullptr) {
-    // Tile pass: each point owns its own output slot, so a plain parallel
-    // loop is race-free and bitwise independent of the thread count.
-    num::parallel_for(points.size(), options_.num_threads, [&](std::size_t i) {
-      out[i] += far->eval(points[i]);
-    });
   }
   return out;
 }

@@ -612,6 +612,39 @@ tsvlib::Placement decode_placement(const std::string& bytes) {
 
 namespace {
 
+/// Version 3 engine-state payloads carry the option block of the Stage II
+/// far-field aggregate that version 4 removed: a routing flag, a tolerance
+/// and eight tiling/certification settings. Writes it at the removed
+/// feature's defaults with the flag off, so a v3 reader restores a plain
+/// direct-path engine.
+void put_v3_far_field_block(Writer& w) {
+  w.u8(0);       // use_far_field
+  w.f64(1e-2);   // tolerance
+  w.f64(100.0);  // cell_size
+  w.f64(1.0);    // tile_spacing
+  w.f64(6.0);    // blend_r0
+  w.f64(10.0);   // blend_r1
+  w.f64(1.5);    // edge_width
+  w.size(48);    // cert_max_clusters
+  w.size(24);    // cert_samples_per_cluster
+  w.f64(1.5);    // cert_margin
+}
+
+/// Reads and discards the v3 block. A payload saved with the far field on
+/// is refused: its Stage II field holds tile-approximated sums that exact
+/// incremental deltas would silently mix with.
+void skip_v3_far_field_block(Reader& r, const std::string& path) {
+  if (r.u8() != 0) {
+    snapshot_error(path,
+                   "engine state was saved with the hierarchical far-field "
+                   "aggregate enabled, which this build no longer supports");
+  }
+  for (int i = 0; i < 6; ++i) r.f64();  // tolerance .. edge_width
+  r.size();                             // cert_max_clusters
+  r.size();                             // cert_samples_per_cluster
+  r.f64();                              // cert_margin
+}
+
 std::uint64_t save_engine_state_as(const std::string& path,
                                    const core::IncrementalEngine& engine,
                                    std::uint32_t version) {
@@ -637,20 +670,7 @@ std::uint64_t save_engine_state_as(const std::string& path,
   w.u8(opt.stage2.allow_surrogate ? 1 : 0);
   w.f64(opt.stage2.surrogate_tolerance);
   w.size(opt.stage2.num_threads);
-  if (version >= 3) {
-    // Far-field routing (format version 3; absent and defaulted in older
-    // payloads).
-    w.u8(opt.stage2.use_far_field ? 1 : 0);
-    w.f64(opt.stage2.far_field_tolerance);
-    w.f64(opt.stage2.far_field.cell_size);
-    w.f64(opt.stage2.far_field.tile_spacing);
-    w.f64(opt.stage2.far_field.blend_r0);
-    w.f64(opt.stage2.far_field.blend_r1);
-    w.f64(opt.stage2.far_field.edge_width);
-    w.size(opt.stage2.far_field.cert_max_clusters);
-    w.size(opt.stage2.far_field.cert_samples_per_cluster);
-    w.f64(opt.stage2.far_field.cert_margin);
-  }
+  if (version == 3) put_v3_far_field_block(w);
   w.u8(opt.enable_interactive ? 1 : 0);
   w.size(opt.num_threads);
 
@@ -726,18 +746,7 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
   opt.stage2.allow_surrogate = r.u8() != 0;
   opt.stage2.surrogate_tolerance = r.f64();
   opt.stage2.num_threads = r.size();
-  if (r.version() >= 3) {
-    opt.stage2.use_far_field = r.u8() != 0;
-    opt.stage2.far_field_tolerance = r.f64();
-    opt.stage2.far_field.cell_size = r.f64();
-    opt.stage2.far_field.tile_spacing = r.f64();
-    opt.stage2.far_field.blend_r0 = r.f64();
-    opt.stage2.far_field.blend_r1 = r.f64();
-    opt.stage2.far_field.edge_width = r.f64();
-    opt.stage2.far_field.cert_max_clusters = r.size();
-    opt.stage2.far_field.cert_samples_per_cluster = r.size();
-    opt.stage2.far_field.cert_margin = r.f64();
-  }
+  if (r.version() == 3) skip_v3_far_field_block(r, path);
   opt.enable_interactive = r.u8() != 0;
   opt.num_threads = r.size();
 

@@ -56,7 +56,13 @@ namespace tsv::io {
 // (io/mapped_file.h) instead of double-buffering the file in the heap.
 // Fields that remain f64 (engine stage fields, radial table, surrogate
 // coefficients) still round-trip bitwise.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+//
+// Version 4: engine-state options drop the far-field block again (the
+// aggregate was removed). v3 payloads still load — the block is read and
+// discarded — except one saved with use_far_field set, which is refused
+// with an IoCorruptionError: its Stage II field carries tile error that
+// exact ECO deltas would silently mix with.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 inline constexpr std::uint32_t kMinSnapshotVersion = 1;
 
 enum class SnapshotKind : std::uint32_t {
@@ -144,10 +150,10 @@ std::uint64_t save_engine_state(const std::string& path,
                                 const core::IncrementalEngine& engine);
 
 /// Writes an engine snapshot in an OLDER format version's exact layout
-/// (f64 pair tables and no surrogate section for v1, no far-field option
-/// fields below v3), stamped with that version. Exists so downgrade
-/// interop and the version-upgrade tests exercise the real old layouts
-/// instead of re-stamped current payloads. Throws std::invalid_argument
+/// (f64 pair tables and no surrogate section for v1, the far-field option
+/// block at its defaults with the flag off for v3), stamped with that
+/// version. Exists so downgrade interop and the version-upgrade tests
+/// exercise the real old layouts instead of re-stamped current payloads. Throws std::invalid_argument
 /// outside [kMinSnapshotVersion, kSnapshotVersion].
 std::uint64_t save_engine_state_compat(const std::string& path,
                                        const core::IncrementalEngine& engine,

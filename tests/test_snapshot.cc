@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 
 #include "core/error.h"
@@ -244,52 +245,100 @@ TEST(Snapshot, VersionOneEngineSnapshotLoadsAndRefitsOnDemand) {
                                     4.0);
   const auto table =
       std::make_shared<const core::RadialStressTable>(make_table());
+  // Genuine old layouts, not re-stamped current payloads: v1 has f64 pair
+  // tables and no surrogate section; v3 carries the removed far-field
+  // option block (written at its defaults, flag off).
+  for (const std::uint32_t version : {1u, 3u}) {
+    SCOPED_TRACE("compat version " + std::to_string(version));
+    core::IncrementalEngine engine(placement, grid, table, make_model(), {});
+    engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
+
+    const std::string old_path =
+        temp_path("engine_v" + std::to_string(version) + ".snap");
+    save_engine_state_compat(old_path, engine, version);
+    EXPECT_EQ(read_snapshot_info(old_path).version, version);
+
+    // It loads: same slots, bitwise-identical fields, no surrogate attached.
+    core::IncrementalEngine warmed = load_engine_state(old_path);
+    EXPECT_EQ(warmed.active_count(), engine.active_count());
+    ASSERT_NE(warmed.model(), nullptr);
+    EXPECT_EQ(warmed.model()->surrogate(), nullptr);
+    ASSERT_EQ(warmed.stage2_field().size(), engine.stage2_field().size());
+    EXPECT_EQ(std::memcmp(warmed.stage1_field().data(),
+                          engine.stage1_field().data(),
+                          engine.stage1_field().size() *
+                              sizeof(num::SymTensor2)), 0);
+    EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
+                          engine.stage2_field().data(),
+                          engine.stage2_field().size() *
+                              sizeof(num::SymTensor2)), 0);
+
+    // The loaded engine stays fully editable in bitwise lock-step…
+    const core::Delta delta = {core::EcoOp::move(1, {13.0, 3.0})};
+    engine.apply(delta);
+    warmed.apply(delta);
+    EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
+                          engine.stage2_field().data(),
+                          engine.stage2_field().size() *
+                              sizeof(num::SymTensor2)), 0);
+
+    // …and a fresh fit attaches on demand, exactly as on a cold build.
+    warmed.model()->attach_surrogate(
+        std::make_shared<const ana::PairSurrogate>(
+            ana::PairSurrogate::fit(*warmed.model())));
+    ASSERT_NE(warmed.model()->surrogate(), nullptr);
+    EXPECT_NE(warmed.model()->surrogate_for(1e-6, 25.0), nullptr);
+
+    // Re-saving is the upgrade path: the next snapshot is current-format
+    // and embeds the freshly fitted surrogate.
+    const std::string upgraded =
+        temp_path("engine_v" + std::to_string(version) + "_upgraded.snap");
+    save_engine_state(upgraded, warmed);
+    EXPECT_EQ(read_snapshot_info(upgraded).version, kSnapshotVersion);
+    EXPECT_NE(load_engine_state(upgraded).model()->surrogate(), nullptr);
+  }
+}
+
+TEST(Snapshot, VersionThreeEngineSnapshotWithFarFieldFlagIsRefused) {
+  const tsvlib::Placement placement = tsvlib::make_five_cross(kS, 12.0);
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(placement.bounding_box().expanded(25.0),
+                                    4.0);
+  const auto table =
+      std::make_shared<const core::RadialStressTable>(make_table());
   core::IncrementalEngine engine(placement, grid, table, make_model(), {});
-  engine.apply({core::EcoOp::move(0, {2.0, 1.0})});
+  const std::string v3_path = temp_path("engine_v3_far.snap");
+  const std::string v4_path = temp_path("engine_v4_far.snap");
+  save_engine_state_compat(v3_path, engine, 3);
+  save_engine_state(v4_path, engine);
 
-  // A genuine version-1 layout: f64 pair tables, no far-field option
-  // fields, no surrogate section (the compat writer emits the real old
-  // format, not a re-stamped current payload).
-  const std::string v1_path = temp_path("engine_v1.snap");
-  save_engine_state_compat(v1_path, engine, 1);
-  EXPECT_EQ(read_snapshot_info(v1_path).version, 1u);
+  // The payloads agree up to the v3 block, whose first byte is the
+  // use_far_field flag (0) where v4 already has enable_interactive (1).
+  constexpr std::size_t kHeader = 24;
+  std::string bytes = read_bytes(v3_path);
+  const std::string current = read_bytes(v4_path);
+  std::size_t flag = kHeader;
+  while (bytes[flag] == current[flag]) ++flag;
+  ASSERT_EQ(bytes[flag], 0);
+  bytes[flag] = 1;
 
-  // It loads: same slots, bitwise-identical fields, no surrogate attached.
-  core::IncrementalEngine warmed = load_engine_state(v1_path);
-  EXPECT_EQ(warmed.active_count(), engine.active_count());
-  ASSERT_NE(warmed.model(), nullptr);
-  EXPECT_EQ(warmed.model()->surrogate(), nullptr);
-  ASSERT_EQ(warmed.stage2_field().size(), engine.stage2_field().size());
-  EXPECT_EQ(std::memcmp(warmed.stage1_field().data(),
-                        engine.stage1_field().data(),
-                        engine.stage1_field().size() *
-                            sizeof(num::SymTensor2)), 0);
-  EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
-                        engine.stage2_field().data(),
-                        engine.stage2_field().size() *
-                            sizeof(num::SymTensor2)), 0);
+  // Re-stamp the trailing FNV-1a 64 payload checksum so only the flag
+  // differs from a valid file.
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = kHeader; i + 8 < bytes.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 1099511628211ull;
+  }
+  std::memcpy(&bytes[bytes.size() - 8], &h, sizeof(h));
+  write_bytes(v3_path, bytes);
 
-  // The loaded engine stays fully editable in bitwise lock-step…
-  const core::Delta delta = {core::EcoOp::move(1, {13.0, 3.0})};
-  engine.apply(delta);
-  warmed.apply(delta);
-  EXPECT_EQ(std::memcmp(warmed.stage2_field().data(),
-                        engine.stage2_field().data(),
-                        engine.stage2_field().size() *
-                            sizeof(num::SymTensor2)), 0);
-
-  // …and a fresh fit attaches on demand, exactly as on a cold build.
-  warmed.model()->attach_surrogate(std::make_shared<const ana::PairSurrogate>(
-      ana::PairSurrogate::fit(*warmed.model())));
-  ASSERT_NE(warmed.model()->surrogate(), nullptr);
-  EXPECT_NE(warmed.model()->surrogate_for(1e-6, 25.0), nullptr);
-
-  // Re-saving is the upgrade path: the next snapshot is current-format and
-  // embeds the freshly fitted surrogate.
-  const std::string upgraded = temp_path("engine_v1_upgraded.snap");
-  save_engine_state(upgraded, warmed);
-  EXPECT_EQ(read_snapshot_info(upgraded).version, kSnapshotVersion);
-  EXPECT_NE(load_engine_state(upgraded).model()->surrogate(), nullptr);
+  expect_rejection([&] { load_engine_state(v3_path); }, "far-field");
+  try {
+    load_engine_state(v3_path);
+    FAIL() << "expected IoCorruptionError";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kIoCorruption);
+  }
 }
 
 TEST(Snapshot, CorruptEmbeddedSurrogateSectionIsRejectedNotEvaluated) {

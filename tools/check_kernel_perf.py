@@ -36,11 +36,6 @@ against the committed per-design peaks in the baseline's "rss" section
 check FAILS the job on growth beyond `max_growth`: the float32 table
 tier cut the fast-mode peak from 3.3 GB to under 1 GB, and the gate keeps
 it there (the earlier warn-only variant let a 2x regression linger).
-The baseline's "farfield" section additionally locks the hierarchical
-far-field row at its design point: the aggregate must be ACTIVE (its
-machine-checked certificate passed the tolerance), the certificate bound
-must stay under `max_cert_bound`, and the far-field Stage II time must
-beat the quantized row by at least `min_speedup_vs_quant`.
 
 Usage:
   tools/check_kernel_perf.py <kernels.jsonl> <baseline.json>
@@ -106,8 +101,6 @@ def write_baseline(rows, baseline_path, old, max_regression):
         data["variation"] = old["variation"]
     if "rss" in old:
         data["rss"] = old["rss"]
-    if "farfield" in old:
-        data["farfield"] = old["farfield"]
     with open(baseline_path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
@@ -207,44 +200,6 @@ def check_rss(path, baseline):
     return failures
 
 
-def check_farfield(path, baseline):
-    """Far-field floor: the hierarchical row must be active (certificate
-    passed), its bound under max_cert_bound, and its Stage II time at
-    least min_speedup_vs_quant times faster than the quantized row.
-    """
-    spec = baseline.get("farfield")
-    if spec is None:
-        print("farfield: baseline has no 'farfield' section; skipping")
-        return []
-    tsvs = spec.get("tsvs", 1000)
-    spacing = spec.get("spacing_um")
-    row = latest_fullchip_row(path, tsvs, spacing)
-    if row is None:
-        return [f"farfield: no fullchip row with tsvs == {tsvs} in {path}"]
-    failures = []
-    active = row.get("farfield_active", 0) == 1
-    bound = row.get("farfield_cert_bound", -1.0)
-    max_bound = spec.get("max_cert_bound", 0.01)
-    quant_s = row.get("stage2_quant_s", 0.0)
-    far_s = row.get("stage2_farfield_s", 0.0)
-    floor = spec.get("min_speedup_vs_quant", 1.5)
-    speedup = quant_s / far_s if far_s > 0.0 else 0.0
-    print(f"fullchip farfield @ {tsvs} TSVs: "
-          f"{'ACTIVE' if active else 'INERT'}, cert bound {bound:.5f} "
-          f"(max {max_bound}), stage II {far_s:.3f} s vs quant "
-          f"{quant_s:.3f} s -> {speedup:.2f}x (floor {floor}x)")
-    if not active:
-        failures.append(f"farfield: aggregate INERT at {tsvs} TSVs (the "
-                        f"certificate gate rejected it)")
-    if bound < 0.0 or bound > max_bound:
-        failures.append(f"farfield: certificate bound {bound:.5f} exceeds "
-                        f"{max_bound}")
-    if speedup < floor:
-        failures.append(f"farfield: stage II speedup {speedup:.2f}x vs the "
-                        f"quantized row is below the floor {floor}x")
-    return failures
-
-
 def check_ratio(rows, kernel, spec):
     """Same-run ratio gate: the kernel's batch row carries its ns_per_eval
     over the batch row of spec["ratio_to"] from the same bench run."""
@@ -314,8 +269,7 @@ def main():
                              "against the baseline's per-sample floor")
     parser.add_argument("--fullchip", metavar="PATH", default=None,
                         help="also gate bench_fullchip's per-design peak "
-                             "RSS ('rss' section) and the hierarchical "
-                             "far-field floor ('farfield' section)")
+                             "RSS ('rss' section)")
     parser.add_argument("--max-regression", type=float, default=None,
                         help="override the baseline's allowed fraction")
     args = parser.parse_args()
@@ -348,7 +302,6 @@ def main():
         failures += check_variation(args.variation, baseline)
     if args.fullchip is not None:
         failures += check_rss(args.fullchip, baseline)
-        failures += check_farfield(args.fullchip, baseline)
     if failures:
         print("\nkernel perf guard FAILED:", file=sys.stderr)
         for f in failures:
