@@ -6,9 +6,18 @@
 // driver splits the grid into cache-sized tiles, evaluates both stages per
 // tile (Stage II enumerates only the pairs whose victim can reach the tile,
 // via the TSV grid index) and hands each finished tile to a consumer, so
-// peak memory is O(tile) and results stream in deterministic row-major
-// tile order. The per-tile evaluations reuse the framework's thread pool:
-// tiles x threads compose because the outer tile loop is serial.
+// peak memory is O(threads x tile) and results stream in deterministic
+// row-major tile order.
+//
+// Threads: with at least as many tiles to compute as threads, the tiles
+// run as a pipeline on the shared pool — each tile whole on one thread, so
+// every point gets the 1-thread sum and the map is bitwise the same at any
+// thread count. Finished tiles are handed on strictly in order by whichever
+// thread completes the head tile (consumer, checkpoint accumulation,
+// writer) while the other threads compute later tiles, so checkpoint writes
+// overlap evaluation. With fewer tiles than threads each tile is evaluated
+// in turn with its stages parallel inside it, which regroups Stage II sums
+// (<= 1e-12 relative to the serial map).
 
 #include <cstdint>
 #include <functional>
@@ -69,7 +78,8 @@ struct CheckpointConfig {
   std::size_t every_tiles = 16;
   /// Persistence hook (e.g. [&](const auto& cp) {
   /// io::save_tiled_checkpoint(path, cp); }). Null disables writing, which
-  /// makes resume-only replay possible.
+  /// makes resume-only replay possible. Called like the consumer: in tile
+  /// order, never concurrently, possibly on a pool thread.
   std::function<void(const TiledCheckpoint&)> writer;
   /// Resume state: finished tiles are replayed to the consumer from the
   /// stored fields (bitwise identical, no re-evaluation) and computation
@@ -84,6 +94,8 @@ struct TiledStats {
   std::size_t tiles_y = 0;
   std::size_t points = 0;
   std::size_t peak_tile_points = 0;
+  /// Time in each stage, summed over tiles. On the tile pipeline tiles run
+  /// concurrently, so these are summed worker time and can exceed the wall.
   double stage1_seconds = 0.0;
   double stage2_seconds = 0.0;
   /// Ordered pairs in the whole design, and the total over tiles of the
@@ -92,8 +104,10 @@ struct TiledStats {
   std::size_t total_pairs = 0;
   std::size_t culled_pairs = 0;
   /// Checkpoint accounting: tiles replayed from a resume checkpoint instead
-  /// of evaluated, checkpoint writes performed, and the wall-clock they
-  /// cost (the overhead the ≤5% budget in EXPERIMENTS.md tracks).
+  /// of evaluated, checkpoint writes performed, and the time spent in the
+  /// writer. On the tile pipeline the writer runs while other threads keep
+  /// computing, so this is not the wall-clock overhead of checkpointing
+  /// (bench_fullchip measures that against the ≤5% budget).
   std::size_t resumed_tiles = 0;
   std::size_t checkpoints_written = 0;
   double checkpoint_seconds = 0.0;
@@ -108,7 +122,11 @@ class TiledEvaluator {
 
   /// Evaluates the framework over `grid`, streaming tiles to `consume` in
   /// row-major tile order. The Tile references are only valid inside the
-  /// callback — copy what you keep.
+  /// callback — copy what you keep. Calls never overlap, but on the tile
+  /// pipeline each may run on a pool thread rather than the caller's, so
+  /// the consumer must not rely on thread-local state; an exception it
+  /// throws stops the run (no tile is streamed after it) and is rethrown
+  /// here.
   TiledStats evaluate(const geo::SampleGrid& grid,
                       const TileConsumer& consume) const;
 

@@ -4,8 +4,10 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <sstream>
 
@@ -50,9 +52,33 @@ class TempFile {
   bool released_ = false;
 };
 
+std::size_t total_size(const std::vector<std::string_view>& parts) {
+  std::size_t n = 0;
+  for (const std::string_view part : parts) n += part.size();
+  return n;
+}
+
+/// Writes the first `limit` bytes of the concatenated parts; false on a
+/// short write.
+bool write_parts(std::FILE* f, const std::vector<std::string_view>& parts,
+                 std::size_t limit) {
+  for (const std::string_view part : parts) {
+    const std::size_t n = std::min(part.size(), limit);
+    if (n != 0 && std::fwrite(part.data(), 1, n, f) != n) return false;
+    limit -= n;
+  }
+  return true;
+}
+
 }  // namespace
 
 void atomic_write_file(const std::string& path, const std::string& bytes,
+                       bool durable) {
+  atomic_write_file(path, std::vector<std::string_view>{bytes}, durable);
+}
+
+void atomic_write_file(const std::string& path,
+                       const std::vector<std::string_view>& parts,
                        bool durable) {
   TempFile tmp(path + ".tmp");
   if (tmp.get() == nullptr) write_error(path, "cannot open temp file");
@@ -60,11 +86,11 @@ void atomic_write_file(const std::string& path, const std::string& bytes,
   if (fault::should_fire(fault::Site::kSnapshotWriteFail)) {
     // Simulated crash mid-write: leave a torn temp file and fail before the
     // rename, so the target must survive untouched.
-    std::fwrite(bytes.data(), 1, bytes.size() / 2, tmp.get());
+    write_parts(tmp.get(), parts, total_size(parts) / 2);
     write_error(path, "injected write failure (fault harness)");
   }
 
-  if (std::fwrite(bytes.data(), 1, bytes.size(), tmp.get()) != bytes.size())
+  if (!write_parts(tmp.get(), parts, total_size(parts)))
     write_error(path, "short write to temp file");
   if (std::fflush(tmp.get()) != 0) write_error(path, "flush failed");
   // Durability before the rename: a rename that lands while the data blocks
@@ -77,6 +103,21 @@ void atomic_write_file(const std::string& path, const std::string& bytes,
   if (std::rename(tmp.path().c_str(), path.c_str()) != 0)
     write_error(path, "rename failed");
   tmp.release();
+}
+
+void append_file(const std::string& path,
+                 const std::vector<std::string_view>& parts) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "ab"), &std::fclose);
+  if (f == nullptr) write_error(path, "cannot open for append");
+  if (fault::should_fire(fault::Site::kSnapshotWriteFail)) {
+    // Simulated death mid-append: a torn tail the reader must cut off.
+    write_parts(f.get(), parts, total_size(parts) / 2);
+    write_error(path, "injected append failure (fault harness)");
+  }
+  if (!write_parts(f.get(), parts, total_size(parts)) ||
+      std::fflush(f.get()) != 0)
+    write_error(path, "short append");
 }
 
 void atomic_append_line(const std::string& path, const std::string& line) {

@@ -7,6 +7,8 @@
 // contents or the complete new contents, never a mixture.
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace tsv::io {
 
@@ -22,6 +24,19 @@ namespace tsv::io {
 /// checkpoint overhead on large fields.
 void atomic_write_file(const std::string& path, const std::string& bytes,
                        bool durable = true);
+
+/// Same, for contents given as consecutive parts, written in order without
+/// first concatenating them (bulk fields go straight from their vectors).
+void atomic_write_file(const std::string& path,
+                       const std::vector<std::string_view>& parts,
+                       bool durable = true);
+
+/// Appends the parts, in order, to `path` (creating it if missing), without
+/// fsync. Not atomic: a failure or a death mid-append leaves a torn tail,
+/// so only formats whose reader detects and drops one may use it (the
+/// tiled checkpoint log). Throws tsv::IoCorruptionError on failure.
+void append_file(const std::string& path,
+                 const std::vector<std::string_view>& parts);
 
 /// Atomically appends `line` + '\n' to `path` (creating it if missing) via
 /// read + rewrite of the whole file. Intended for small append-mostly

@@ -1,10 +1,13 @@
 #include "io/snapshot.h"
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "analytic/mode_solver.h"
@@ -18,8 +21,12 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'S', 'V', 'S', 'N', 'A', 'P', '\0'};
 
-std::uint64_t fnv1a64(const char* bytes, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+/// FNV-1a 64 of `n` bytes, continuing from `h` (so a payload held in
+/// several pieces hashes as if concatenated).
+std::uint64_t fnv1a64(const char* bytes, std::size_t n,
+                      std::uint64_t h = kFnvBasis) {
   for (std::size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(bytes[i]);
     h *= 1099511628211ull;
@@ -31,9 +38,51 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return fnv1a64(bytes.data(), bytes.size());
 }
 
+/// FNV-1a's xor-multiply step per 8-byte word (then per byte for a tail),
+/// for checkpoint records: the byte-wise hash runs at about a byte per
+/// nanosecond, half the writer's time on a full-chip field. Hashing parts
+/// whose sizes are multiples of 8 in turn equals hashing them joined.
+std::uint64_t fnv1a64_words(const char* bytes, std::size_t n,
+                            std::uint64_t h = kFnvBasis) {
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes + i, sizeof(w));
+    h ^= w;
+    h *= 1099511628211ull;
+  }
+  return fnv1a64(bytes + i, n - i, h);
+}
+
+/// The payload checksum of a frame of `kind`.
+std::uint64_t payload_checksum(SnapshotKind kind, const char* bytes,
+                               std::size_t n) {
+  return kind == SnapshotKind::kTiledCheckpoint ? fnv1a64_words(bytes, n)
+                                                : fnv1a64(bytes, n);
+}
+
 [[noreturn]] void snapshot_error(const std::string& path,
                                  const std::string& what) {
   throw IoCorruptionError("snapshot '" + path + "': " + what);
+}
+
+/// Header bytes: magic, u32 version, u32 kind, u64 payload size. The
+/// payload and its u64 checksum follow.
+constexpr std::size_t kFrameHeader =
+    sizeof(kMagic) + 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+template <typename T>
+std::string_view pod_bytes(const T& v) {
+  return {reinterpret_cast<const char*>(&v), sizeof(v)};
+}
+
+std::string frame_header(SnapshotKind kind, std::uint64_t payload_bytes,
+                         std::uint32_t version = kSnapshotVersion) {
+  std::string h(kMagic, sizeof(kMagic));
+  h.append(pod_bytes(version));
+  h.append(pod_bytes(static_cast<std::uint32_t>(kind)));
+  h.append(pod_bytes(payload_bytes));
+  return h;
 }
 
 /// Accumulates a payload; integers and doubles are appended as raw native
@@ -92,22 +141,11 @@ class Writer {
   std::uint64_t commit(const std::string& path, SnapshotKind kind,
                        bool durable = true,
                        std::uint32_t version = kSnapshotVersion) const {
-    std::string bytes;
-    bytes.reserve(sizeof(kMagic) + 2 * sizeof(std::uint32_t) +
-                  2 * sizeof(std::uint64_t) + buffer_.size());
-    bytes.append(kMagic, sizeof(kMagic));
-    const std::uint32_t kind_u = static_cast<std::uint32_t>(kind);
-    const std::uint64_t payload = buffer_.size();
     const std::uint64_t checksum = fnv1a64(buffer_);
-    const auto append_pod = [&](const auto& v) {
-      bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    append_pod(version);
-    append_pod(kind_u);
-    append_pod(payload);
-    bytes.append(buffer_);
-    append_pod(checksum);
-    atomic_write_file(path, bytes, durable);
+    atomic_write_file(path,
+                      {frame_header(kind, buffer_.size(), version), buffer_,
+                       pod_bytes(checksum)},
+                      durable);
     return checksum;
   }
 
@@ -237,21 +275,26 @@ struct OpenedSnapshot {
   Reader reader;
 };
 
-/// Maps the file and validates magic, version, size, and checksum. The
-/// returned reader points into the mapping — no heap copy of the payload.
-OpenedSnapshot read_file(const std::string& path) {
-  MappedFile file(path);
-  const char* bytes = file.data();
-  const std::size_t total = file.size();
+/// A frame whose header and checksum validated: its header fields, its
+/// payload, and its length in bytes (header + payload + checksum).
+struct Frame {
+  SnapshotInfo info;
+  const char* payload = nullptr;
+  std::size_t bytes = 0;
+};
 
-  constexpr std::size_t kHeader = sizeof(kMagic) + 2 * sizeof(std::uint32_t) +
-                                  sizeof(std::uint64_t);
-  if (total < kHeader + sizeof(std::uint64_t))
+/// Validates the frame at the start of `bytes` (`avail` bytes readable):
+/// magic, version, size, and checksum. `whole` requires the frame to fill
+/// all `avail` bytes, as a snapshot file's single frame must.
+Frame parse_frame(const char* bytes, std::size_t avail, bool whole,
+                  const std::string& path) {
+  if (avail < kFrameHeader + sizeof(std::uint64_t))
     snapshot_error(path, "truncated file (shorter than the header)");
   if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0)
     snapshot_error(path, "not a tsvstress snapshot (bad magic)");
 
-  SnapshotInfo info;
+  Frame frame;
+  SnapshotInfo& info = frame.info;
   std::size_t off = sizeof(kMagic);
   const auto read_pod = [&](auto& v) {
     std::memcpy(&v, bytes + off, sizeof(v));
@@ -271,24 +314,37 @@ OpenedSnapshot read_file(const std::string& path) {
        << kSnapshotVersion;
     snapshot_error(path, os.str());
   }
-  if (total != off + info.payload_bytes + sizeof(std::uint64_t))
+  const std::size_t room = avail - off - sizeof(std::uint64_t);
+  if (whole ? info.payload_bytes != room : info.payload_bytes > room)
     snapshot_error(path, "truncated file (payload size does not match)");
 
-  const char* payload = bytes + off;
+  frame.payload = bytes + off;
   const std::size_t payload_bytes =
       static_cast<std::size_t>(info.payload_bytes);
+  frame.bytes = off + payload_bytes + sizeof(std::uint64_t);
   std::uint64_t stored = 0;
-  std::memcpy(&stored, payload + payload_bytes, sizeof(stored));
+  std::memcpy(&stored, frame.payload + payload_bytes, sizeof(stored));
   info.checksum = stored;
-  const std::uint64_t computed = fnv1a64(payload, payload_bytes);
+  const std::uint64_t computed =
+      payload_checksum(info.kind, frame.payload, payload_bytes);
   if (computed != stored) {
     std::ostringstream os;
     os << "checksum mismatch (file is corrupt): stored " << std::hex << stored
        << ", computed " << computed;
     snapshot_error(path, os.str());
   }
-  Reader reader(payload, payload_bytes, path, info.version);
-  return OpenedSnapshot{std::move(file), info, std::move(reader)};
+  return frame;
+}
+
+/// Maps the file and validates its frame. The returned reader points into
+/// the mapping — no heap copy of the payload.
+OpenedSnapshot read_file(const std::string& path) {
+  MappedFile file(path);
+  const Frame frame = parse_frame(file.data(), file.size(), true, path);
+  Reader reader(frame.payload,
+                static_cast<std::size_t>(frame.info.payload_bytes), path,
+                frame.info.version);
+  return OpenedSnapshot{std::move(file), frame.info, std::move(reader)};
 }
 
 OpenedSnapshot open_kind(const std::string& path, SnapshotKind expected) {
@@ -790,44 +846,103 @@ core::IncrementalEngine load_engine_state(const std::string& path) {
                                           std::move(model));
 }
 
+namespace {
+
+/// The parts of one checkpoint record holding the tiles of `cp` from tile
+/// `first_tile` on, whose fields start at element `first_point`. The bulk
+/// fields are views of cp's vectors, so the record is written without
+/// copying them; the other parts view this object's members, so it is
+/// neither copied nor moved.
+struct CheckpointRecord {
+  std::string head;  ///< frame header + the four leading u64 fields
+  std::uint64_t interactive_count = 0;
+  std::uint64_t checksum = 0;
+  std::vector<std::string_view> parts;
+
+  CheckpointRecord(const CheckpointRecord&) = delete;
+  CheckpointRecord& operator=(const CheckpointRecord&) = delete;
+  CheckpointRecord(const core::TiledCheckpoint& cp, std::size_t first_tile,
+                   std::size_t first_point) {
+    static_assert(sizeof(num::SymTensor2) == 3 * sizeof(double));
+    const auto tensors = [](const std::vector<num::SymTensor2>& v,
+                            std::size_t from) {
+      from = std::min(from, v.size());
+      return std::string_view(reinterpret_cast<const char*>(v.data() + from),
+                              (v.size() - from) * sizeof(num::SymTensor2));
+    };
+    const std::string_view stress = tensors(cp.stress, first_point);
+    const std::string_view interactive = tensors(cp.interactive, first_point);
+    std::string fields;
+    for (const std::uint64_t v :
+         {cp.fingerprint, std::uint64_t{first_tile},
+          std::uint64_t{cp.tiles_done - first_tile},
+          std::uint64_t{stress.size() / sizeof(num::SymTensor2)}})
+      fields.append(pod_bytes(v));
+    interactive_count = interactive.size() / sizeof(num::SymTensor2);
+    const std::string_view count = pod_bytes(interactive_count);
+    checksum = kFnvBasis;
+    for (const std::string_view part : {std::string_view(fields), stress,
+                                        count, interactive})
+      checksum = fnv1a64_words(part.data(), part.size(), checksum);
+    head = frame_header(SnapshotKind::kTiledCheckpoint,
+                        fields.size() + stress.size() + count.size() +
+                            interactive.size()) +
+           fields;
+    parts = {head, stress, count, interactive, pod_bytes(checksum)};
+  }
+};
+
+}  // namespace
+
 void save_tiled_checkpoint(const std::string& path,
                            const core::TiledCheckpoint& cp) {
-  Writer w;
-  w.reserve(4 * sizeof(std::uint64_t) +
-            (cp.stress.size() + cp.interactive.size()) *
-                sizeof(num::SymTensor2));
-  w.u64(cp.fingerprint);
-  w.size(cp.tiles_done);
-  w.tensor_vec(cp.stress);
-  w.tensor_vec(cp.interactive);
   // Not fsynced: a checkpoint defends against a killed run (the page cache
   // survives that), its reader tolerates a damaged file, and the fsync wait
   // would dominate the checkpoint overhead on full-chip fields.
-  w.commit(path, SnapshotKind::kTiledCheckpoint, /*durable=*/false);
-  // Fault harness: the atomic commit above makes torn writes from crashes
+  atomic_write_file(path, CheckpointRecord(cp, 0, 0).parts,
+                    /*durable=*/false);
+  // Fault harness: the atomic write above makes torn writes from crashes
   // impossible, so simulate *external* damage (disk/filesystem corruption
   // after a successful save) by chopping the finished file in half. Resume
   // must survive this by discarding the checkpoint, not by crashing.
-  if (fault::should_fire(fault::Site::kCheckpointTruncate)) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = std::move(buf).str();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
-  }
+  if (fault::should_fire(fault::Site::kCheckpointTruncate))
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
 }
 
 core::TiledCheckpoint load_tiled_checkpoint(const std::string& path) {
-  OpenedSnapshot opened = open_kind(path, SnapshotKind::kTiledCheckpoint);
-  Reader& r = opened.reader;
+  const MappedFile file(path);
   core::TiledCheckpoint cp;
-  cp.fingerprint = r.u64();
-  cp.tiles_done = r.size();
-  cp.stress = r.tensor_vec();
-  cp.interactive = r.tensor_vec();
-  r.expect_end();
+  std::size_t records = 0;
+  for (std::size_t off = 0; off < file.size() || records == 0; ++records) {
+    try {
+      const Frame frame =
+          parse_frame(file.data() + off, file.size() - off, false, path);
+      if (frame.info.kind != SnapshotKind::kTiledCheckpoint)
+        snapshot_error(path, std::string("kind mismatch: expected ") +
+                                 to_string(SnapshotKind::kTiledCheckpoint) +
+                                 ", file holds " + to_string(frame.info.kind));
+      Reader r(frame.payload,
+               static_cast<std::size_t>(frame.info.payload_bytes), path);
+      const std::uint64_t fingerprint = r.u64();
+      const std::uint64_t first_tile = r.u64();
+      const std::uint64_t tiles = r.u64();
+      if (records == 0) cp.fingerprint = fingerprint;
+      if (fingerprint != cp.fingerprint || first_tile != cp.tiles_done)
+        snapshot_error(path, "record does not continue the checkpoint");
+      std::vector<num::SymTensor2> stress = r.tensor_vec();
+      std::vector<num::SymTensor2> interactive = r.tensor_vec();
+      r.expect_end();
+      cp.tiles_done += tiles;
+      cp.stress.insert(cp.stress.end(), stress.begin(), stress.end());
+      cp.interactive.insert(cp.interactive.end(), interactive.begin(),
+                            interactive.end());
+      off += frame.bytes;
+    } catch (const IoCorruptionError&) {
+      // A torn or damaged record ends the log; the records before it stand.
+      if (records == 0) throw;
+      break;
+    }
+  }
   return cp;
 }
 
@@ -856,13 +971,28 @@ core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
 
   core::CheckpointConfig config;
   config.every_tiles = every_tiles;
-  config.writer = [&checkpoint_path](const core::TiledCheckpoint& cp) {
+  // Append-only: each write adds one record with the tiles finished since
+  // the last one. The first write of a run, and the first after a failed
+  // one, writes the file whole instead (atomically), which also drops a
+  // torn tail a killed or failed writer left behind.
+  std::size_t tiles_on_disk = 0;
+  std::size_t points_on_disk = 0;
+  config.writer = [&](const core::TiledCheckpoint& cp) {
     try {
-      save_tiled_checkpoint(checkpoint_path, cp);
+      if (tiles_on_disk == 0)
+        save_tiled_checkpoint(checkpoint_path, cp);
+      else
+        append_file(checkpoint_path,
+                    CheckpointRecord(cp, tiles_on_disk, points_on_disk).parts);
+      tiles_on_disk = cp.tiles_done;
+      points_on_disk = cp.stress.size();
     } catch (const std::exception& e) {
       // Checkpoints are insurance, not output: a failed write (disk full,
-      // permissions) must not kill the run it is protecting. The previous
-      // checkpoint, if any, is still intact thanks to the atomic save.
+      // permissions) must not kill the run it is protecting. The records
+      // before a failed append still load, and so does the previous file
+      // after a failed whole write.
+      tiles_on_disk = 0;
+      points_on_disk = 0;
       std::fprintf(stderr, "warning: checkpoint write failed: %s\n", e.what());
     }
   };

@@ -70,8 +70,11 @@ enum class SnapshotKind : std::uint32_t {
   kPairTableCache = 2,
   kPlacement = 3,
   kEngineState = 4,
-  kTiledCheckpoint = 5,
   kSurrogate = 6,
+  /// One record of a tiled checkpoint log (see save_tiled_checkpoint).
+  /// Kind 5 was the whole-file checkpoint written before the log; such
+  /// files no longer load, so their run restarts from tile 0.
+  kTiledCheckpoint = 7,
 };
 
 const char* to_string(SnapshotKind kind);
@@ -166,23 +169,45 @@ std::uint64_t save_engine_state_compat(const std::string& path,
 core::IncrementalEngine load_engine_state(const std::string& path);
 
 // --- Tiled-run checkpoints -----------------------------------------------
+//
+// A checkpoint file is an append-only log of records. Each record is one
+// frame of the layout above, of kind kTiledCheckpoint, whose payload holds
+//
+//   u64  run fingerprint
+//   u64  first tile of the record
+//   u64  number of tiles in the record
+//   u64  n, then n stress tensors (3 doubles each, in tile order)
+//   u64  m, then m Stage II tensors (m = 0 or n)
+//
+// and each record continues the previous one: same fingerprint, first tile
+// = the tiles before it. A record carries its own checksum (FNV-1a's step
+// applied per 8-byte word instead of per byte, for speed), so a torn or
+// damaged one ends the log and the records before it still load.
 
+/// Writes a fresh one-record checkpoint holding all of `cp`, atomically
+/// (temp file + rename).
 void save_tiled_checkpoint(const std::string& path,
                            const core::TiledCheckpoint& cp);
+
+/// Concatenates the records of a checkpoint log up to the first torn or bad
+/// one. Throws IoCorruptionError when not even the first record is whole
+/// (InvalidInputError when the file cannot be opened).
 core::TiledCheckpoint load_tiled_checkpoint(const std::string& path);
 
 /// Best-effort load for resume: returns nullopt (instead of throwing) when
-/// the file is missing, truncated, corrupt, or not a checkpoint — all cases
-/// where the right recovery is to start the run from scratch.
+/// the file is missing, has no whole record, or is not a checkpoint — all
+/// cases where the right recovery is to start the run from scratch.
 std::optional<core::TiledCheckpoint> try_load_tiled_checkpoint(
     const std::string& path);
 
 /// Runs `evaluator.evaluate(grid, consume)` with crash resilience: resumes
 /// from `checkpoint_path` when a usable checkpoint with a matching
-/// fingerprint exists (stale/corrupt ones are ignored), writes a fresh
-/// checkpoint every `every_tiles` computed tiles, and removes the file once
-/// the run completes. Interrupt-and-rerun therefore streams the exact tiles
-/// an uninterrupted run would have.
+/// fingerprint exists (stale/corrupt ones are ignored), checkpoints every
+/// `every_tiles` computed tiles, and removes the file once the run
+/// completes. The first write of a run, and the first after a failed one,
+/// writes the file whole; every other write appends one record with the
+/// tiles finished since the last write. Interrupt-and-rerun therefore
+/// streams the exact tiles an uninterrupted run would have.
 core::TiledStats evaluate_with_checkpoint(const core::TiledEvaluator& evaluator,
                                           const geo::SampleGrid& grid,
                                           const core::TileConsumer& consume,

@@ -26,7 +26,9 @@ enum class Site : int {
   /// armed iteration, exercising the NaN guard + solver fallback chain.
   kCgPoisonNan = 0,
   /// io/atomic_file.cc: the armed atomic_write_file call writes a partial
-  /// temp file and fails, exercising write-crash atomicity.
+  /// temp file and fails, exercising write-crash atomicity; an armed
+  /// append_file call writes part of its record and fails, leaving the
+  /// torn tail the checkpoint log reader must cut off.
   kSnapshotWriteFail,
   /// io/snapshot.cc: truncate the checkpoint file right after a successful
   /// save, simulating a torn write discovered at resume time.

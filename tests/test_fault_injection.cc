@@ -8,6 +8,9 @@
 //   - a truncated checkpoint is discarded and the run restarts clean;
 //   - a run killed mid-flight (real SIGKILL-style death via fork + _exit)
 //     resumes from its checkpoint and streams a bitwise-identical field;
+//   - the append-only checkpoint log: a torn last record resumes from the
+//     record before it, a failed append is followed by a whole rewrite,
+//     and a checkpoint of the earlier whole-file format is discarded;
 //   - a bit-flipped surrogate snapshot is rejected by the payload checksum
 //     (IoCorruptionError), and the warm-start flow degrades to the exact
 //     series path instead of evaluating damaged coefficients.
@@ -23,6 +26,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -228,6 +234,141 @@ TEST(FaultInjection, KilledRunResumesBitwiseIdentical) {
   expect_bitwise_equal(got, want);
   // Completion removed the checkpoint: a re-run starts clean.
   EXPECT_FALSE(io::try_load_tiled_checkpoint(path).has_value());
+}
+
+// --- append-only checkpoint log -------------------------------------------
+
+/// Runs a checkpointed map every 2 tiles in a child process that dies after
+/// streaming `tiles` tiles, with the snapshot-write fault armed at its
+/// `fail_write`-th hit (0 = none). Returns once the child is dead.
+void run_killed_child(const TiledFixture& f, const std::string& path,
+                      std::size_t tiles, std::uint64_t fail_write) {
+  std::remove(path.c_str());
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    fault::disarm_all();
+    if (fail_write > 0) fault::arm(fault::Site::kSnapshotWriteFail, fail_write);
+    std::size_t seen = 0;
+    io::evaluate_with_checkpoint(
+        f.tiled, f.grid,
+        [&](const core::Tile&) {
+          if (++seen == tiles + 1) _exit(42);
+        },
+        path, 2);
+    _exit(0);  // not reached
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 42);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(FaultInjection, TornLastCheckpointRecordResumesFromThePreviousOne) {
+  TiledFixture f;
+  std::vector<num::SymTensor2> want;
+  f.tiled.evaluate(f.grid, f.writer_into(want));
+
+  // Three writes (after tiles 2, 4, 6): one whole record, two appended.
+  const std::string path = temp_path("ckpt_torn_tail.snap");
+  run_killed_child(f, path, 6, 0);
+  ASSERT_EQ(io::load_tiled_checkpoint(path).tiles_done, 6u);
+
+  // Tear the last record: the two before it still load.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+  ASSERT_EQ(io::load_tiled_checkpoint(path).tiles_done, 4u);
+
+  std::vector<num::SymTensor2> got;
+  const core::TiledStats stats = io::evaluate_with_checkpoint(
+      f.tiled, f.grid, f.writer_into(got), path, 2);
+  EXPECT_EQ(stats.resumed_tiles, 4u);
+  expect_bitwise_equal(got, want);
+}
+
+TEST(FaultInjection, FailedCheckpointAppendIsFollowedByAWholeRewrite) {
+  TiledFixture f;
+  std::vector<num::SymTensor2> want;
+  f.tiled.evaluate(f.grid, f.writer_into(want));
+  const std::string path = temp_path("ckpt_failed_append.snap");
+
+  // The 2nd write, the first append, fails half-way. Killed before the 3rd
+  // write, the run leaves the first record and a torn one behind.
+  run_killed_child(f, path, 5, 2);
+  ASSERT_EQ(io::load_tiled_checkpoint(path).tiles_done, 2u);
+
+  // Killed after the 3rd write, which rewrote the file whole: one record,
+  // byte for byte what save_tiled_checkpoint writes for the same state.
+  run_killed_child(f, path, 7, 2);
+  const core::TiledCheckpoint cp = io::load_tiled_checkpoint(path);
+  ASSERT_EQ(cp.tiles_done, 6u);
+  const std::string fresh = temp_path("ckpt_failed_append_fresh.snap");
+  io::save_tiled_checkpoint(fresh, cp);
+  EXPECT_EQ(file_bytes(path), file_bytes(fresh));
+
+  std::vector<num::SymTensor2> got;
+  const core::TiledStats stats = io::evaluate_with_checkpoint(
+      f.tiled, f.grid, f.writer_into(got), path, 2);
+  EXPECT_EQ(stats.resumed_tiles, 6u);
+  expect_bitwise_equal(got, want);
+}
+
+TEST(FaultInjection, OldFormatCheckpointIsDiscarded) {
+  TiledFixture f;
+  std::vector<num::SymTensor2> want;
+  f.tiled.evaluate(f.grid, f.writer_into(want));
+
+  // A whole-file checkpoint of the earlier format (snapshot version 4, kind
+  // 5: fingerprint, tiles done, stress, interactive) holding 2 true tiles.
+  core::TiledCheckpoint cp;
+  core::CheckpointConfig config;
+  config.every_tiles = 2;
+  config.writer = [&](const core::TiledCheckpoint& c) {
+    if (c.tiles_done == 2) cp = c;
+  };
+  f.tiled.evaluate(f.grid, [](const core::Tile&) {}, config);
+  ASSERT_EQ(cp.tiles_done, 2u);
+  std::string payload;
+  const auto put = [&](std::uint64_t v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(cp.fingerprint);
+  put(cp.tiles_done);
+  put(cp.stress.size());
+  payload.append(reinterpret_cast<const char*>(cp.stress.data()),
+                 cp.stress.size() * sizeof(num::SymTensor2));
+  put(0);
+  std::uint64_t checksum = 1469598103934665603ull;
+  for (const char c : payload) {
+    checksum ^= static_cast<unsigned char>(c);
+    checksum *= 1099511628211ull;
+  }
+  std::string bytes("TSVSNAP", 8);
+  const std::uint32_t version = 4;
+  const std::uint32_t kind = 5;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(reinterpret_cast<const char*>(&kind), sizeof(kind));
+  const std::uint64_t size = payload.size();
+  bytes.append(reinterpret_cast<const char*>(&size), sizeof(size));
+  bytes += payload;
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  const std::string path = temp_path("ckpt_old_format.snap");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  EXPECT_THROW(io::load_tiled_checkpoint(path), IoCorruptionError);
+  std::vector<num::SymTensor2> got;
+  const core::TiledStats stats = io::evaluate_with_checkpoint(
+      f.tiled, f.grid, f.writer_into(got), path, 4);
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+  expect_bitwise_equal(got, want);
 }
 
 // --- corrupted surrogate snapshots ----------------------------------------

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/error.h"
@@ -155,41 +158,122 @@ TEST(TiledEvaluator, KeepInteractiveExposesStageTwoPart) {
   EXPECT_TRUE(any_nonzero);
 }
 
-// The tile driver composes with the Stage II thread pool: a parallel run
-// must agree with the serial one within the documented regrouping tolerance
-// and stay deterministic (this test carries the `tsan` label).
+/// The field of a tiled map at `threads`, assembled on the grid.
+std::vector<num::SymTensor2> tiled_map(const tsvlib::Placement& p,
+                                       const geo::SampleGrid& grid,
+                                       std::size_t threads,
+                                       std::size_t max_tile_points,
+                                       TiledStats* stats_out = nullptr) {
+  FrameworkOptions fopt;
+  fopt.num_threads = threads;
+  const StressFramework fw(p, fopt);
+  TiledOptions topt;
+  topt.max_tile_points = max_tile_points;
+  const TiledEvaluator tiled(fw, topt);
+  std::vector<num::SymTensor2> out(grid.size());
+  const TiledStats stats = tiled.evaluate(grid, [&](const Tile& tile) {
+    for (std::size_t ty = 0; ty < tile.ny; ++ty)
+      for (std::size_t tx = 0; tx < tile.nx; ++tx)
+        out[(tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx)] =
+            tile.stress[ty * tile.nx + tx];
+  });
+  if (stats_out != nullptr) *stats_out = stats;
+  return out;
+}
+
+void expect_bitwise(const std::vector<num::SymTensor2>& got,
+                    const std::vector<num::SymTensor2>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].s11, want[i].s11) << i;
+    EXPECT_EQ(got[i].s22, want[i].s22) << i;
+    EXPECT_EQ(got[i].s12, want[i].s12) << i;
+  }
+}
+
+// The tile driver composes with the thread pool (this test carries the
+// `tsan` label). With at least as many tiles as threads every tile runs
+// whole on one thread, so any thread count is bitwise the 1-thread map;
+// with fewer tiles each tile's Stage II is pair-parallel and agrees with
+// the serial map within the documented regrouping tolerance.
 TEST(TiledEvaluator, ParallelTilesMatchSerialWithinTolerance) {
   const tsvlib::Placement p = cluster_placement();
   const geo::SampleGrid grid = test_grid(p);
 
-  const auto run = [&](std::size_t threads) {
-    FrameworkOptions fopt;
-    fopt.num_threads = threads;
-    const StressFramework fw(p, fopt);
-    TiledOptions topt;
-    topt.max_tile_points = 250;
-    const TiledEvaluator tiled(fw, topt);
-    std::vector<num::SymTensor2> out(grid.size());
-    tiled.evaluate(grid, [&](const Tile& tile) {
-      for (std::size_t ty = 0; ty < tile.ny; ++ty)
-        for (std::size_t tx = 0; tx < tile.nx; ++tx)
-          out[(tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx)] =
-              tile.stress[ty * tile.nx + tx];
-    });
-    return out;
-  };
+  TiledStats stats;
+  const auto want = tiled_map(p, grid, 1, 250, &stats);
+  ASSERT_GE(stats.tiles, 4u);
+  for (const std::size_t threads : {2, 3, 4})
+    expect_bitwise(tiled_map(p, grid, threads, 250), want);
 
-  const auto want = run(1);
-  const auto got = run(3);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(got[i].s11, want[i].s11,
-                1e-12 * std::max(1.0, std::abs(want[i].s11)))
+  const auto want_few = tiled_map(p, grid, 1, 2025, &stats);
+  ASSERT_GT(stats.tiles, 1u);
+  ASSERT_LT(stats.tiles, 6u);
+  const auto got = tiled_map(p, grid, 6, 2025);
+  ASSERT_EQ(got.size(), want_few.size());
+  for (std::size_t i = 0; i < want_few.size(); ++i) {
+    EXPECT_NEAR(got[i].s11, want_few[i].s11,
+                1e-12 * std::max(1.0, std::abs(want_few[i].s11)))
         << i;
-    EXPECT_NEAR(got[i].s12, want[i].s12,
-                1e-12 * std::max(1.0, std::abs(want[i].s12)))
+    EXPECT_NEAR(got[i].s22, want_few[i].s22,
+                1e-12 * std::max(1.0, std::abs(want_few[i].s22)))
+        << i;
+    EXPECT_NEAR(got[i].s12, want_few[i].s12,
+                1e-12 * std::max(1.0, std::abs(want_few[i].s12)))
         << i;
   }
+}
+
+// A dense cluster in the first tile makes it far costlier than the rest, so
+// later tiles finish first and must wait for it: the consumer still sees
+// every tile once, one call at a time, in row-major order.
+TEST(TiledEvaluator, PipelineStreamsUnevenTilesInOrderOneAtATime) {
+  std::vector<geo::Point> centers;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 8; ++j) centers.push_back({8.0 * i, 8.0 * j});
+  for (int i = 0; i < 5; ++i)
+    for (int j = 0; j < 5; ++j)
+      if (i + j > 2) centers.push_back({100.0 + 60.0 * i, 100.0 + 60.0 * j});
+  const tsvlib::Placement p(kS, centers);
+  const geo::SampleGrid grid =
+      geo::SampleGrid::with_spacing(p.bounding_box().expanded(10.0), 4.0);
+
+  TiledStats serial;
+  const auto want = tiled_map(p, grid, 1, 400, &serial);
+  ASSERT_GE(serial.tiles, 16u);
+
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw(p, fopt);
+  const TiledEvaluator tiled(fw, TiledOptions{400, false});
+  std::atomic<int> inside{0};
+  std::size_t expected_index = 0;
+  std::vector<num::SymTensor2> got(grid.size());
+  const TiledStats stats = tiled.evaluate(grid, [&](const Tile& tile) {
+    EXPECT_EQ(inside.fetch_add(1), 0);
+    EXPECT_EQ(tile.index, expected_index++);
+    for (std::size_t ty = 0; ty < tile.ny; ++ty)
+      for (std::size_t tx = 0; tx < tile.nx; ++tx)
+        got[(tile.iy0 + ty) * grid.nx() + (tile.ix0 + tx)] =
+            tile.stress[ty * tile.nx + tx];
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    inside.fetch_sub(1);
+  });
+  EXPECT_EQ(expected_index, serial.tiles);
+  expect_bitwise(got, want);
+
+  // Every count is the 1-thread run's; only the timings differ.
+  EXPECT_EQ(stats.tiles, serial.tiles);
+  EXPECT_EQ(stats.tiles_x, serial.tiles_x);
+  EXPECT_EQ(stats.tiles_y, serial.tiles_y);
+  EXPECT_EQ(stats.points, serial.points);
+  EXPECT_EQ(stats.peak_tile_points, serial.peak_tile_points);
+  EXPECT_EQ(stats.total_pairs, serial.total_pairs);
+  EXPECT_EQ(stats.culled_pairs, serial.culled_pairs);
+  EXPECT_EQ(stats.resumed_tiles, 0u);
+  EXPECT_EQ(stats.checkpoints_written, 0u);
+  EXPECT_GT(stats.stage1_seconds, 0.0);
+  EXPECT_GT(stats.stage2_seconds, 0.0);
 }
 
 // --- checkpoint / resume -------------------------------------------------
@@ -280,6 +364,46 @@ TEST(TiledEvaluator, ResumeReplaysInterruptedRunBitwise) {
     EXPECT_EQ(got[i].s22, want[i].s22) << i;
     EXPECT_EQ(got[i].s12, want[i].s12) << i;
   }
+}
+
+// The same interruption on the tile pipeline: the throw reaches the caller,
+// no tile is streamed after it, the checkpoints hold only tiles streamed
+// before it, and a resumed 4-thread run is bitwise the 1-thread map.
+TEST(TiledEvaluator, PipelineRethrowsConsumerErrorAndResumesBitwise) {
+  const tsvlib::Placement p = cluster_placement();
+  const geo::SampleGrid grid = test_grid(p);
+  const std::vector<num::SymTensor2> want = tiled_map(p, grid, 1, 200);
+
+  FrameworkOptions fopt;
+  fopt.num_threads = 4;
+  const StressFramework fw(p, fopt);
+  const TiledEvaluator tiled(fw, TiledOptions{200, false});
+  TiledCheckpoint last;
+  std::size_t writes = 0;
+  CheckpointConfig config;
+  config.every_tiles = 2;
+  config.writer = [&](const TiledCheckpoint& cp) {
+    last = cp;
+    ++writes;
+  };
+  std::size_t seen = 0;
+  EXPECT_THROW(tiled.evaluate(grid,
+                              [&](const Tile&) {
+                                if (seen++ == 5) throw InterruptedRun{};
+                              },
+                              config),
+               InterruptedRun);
+  EXPECT_EQ(seen, 6u);
+  EXPECT_EQ(writes, 2u);
+  ASSERT_EQ(last.tiles_done, 4u);
+
+  CheckpointConfig resume_config;
+  resume_config.resume = &last;
+  TiledStats stats;
+  const std::vector<num::SymTensor2> got =
+      collect(grid, tiled, resume_config, &stats);
+  EXPECT_EQ(stats.resumed_tiles, 4u);
+  expect_bitwise(got, want);
 }
 
 TEST(TiledEvaluator, ResumeKeepsInteractiveFields) {

@@ -36,6 +36,11 @@ against the committed per-design peaks in the baseline's "rss" section
 check FAILS the job on growth beyond `max_growth`: the float32 table
 tier cut the fast-mode peak from 3.3 GB to under 1 GB, and the gate keeps
 it there (the earlier warn-only variant let a 2x regression linger).
+It also FAILS when the latest "fullchip_checkpoint" row at any thread
+count listed in the baseline's "checkpoint" section shows a checkpointed
+map more than `max_overhead_frac` (the <= 5% budget) slower than the plain
+map. Both walls come from the same run, so the ratio is host-speed
+independent.
 
 Usage:
   tools/check_kernel_perf.py <kernels.jsonl> <baseline.json>
@@ -99,27 +104,28 @@ def write_baseline(rows, baseline_path, old, max_regression):
     data = {"max_regression": max_regression, "kernels": kernels}
     if "variation" in old:
         data["variation"] = old["variation"]
-    if "rss" in old:
-        data["rss"] = old["rss"]
+    for section in ("rss", "checkpoint"):
+        if section in old:
+            data[section] = old[section]
     with open(baseline_path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=2)
         f.write("\n")
     print(f"wrote {baseline_path}")
 
 
+def bench_rows(path, bench):
+    """The rows of one bench in a JSONL file, in file order."""
+    with open(path, encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    return [row for row in rows if row.get("bench") == bench]
+
+
 def latest_variation_row(path, min_tsvs):
     """Last bench_variation row at >= min_tsvs TSVs, or None."""
     latest = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("bench") != "variation":
-                continue
-            if row.get("tsvs", 0) >= min_tsvs:
-                latest = row
+    for row in bench_rows(path, "variation"):
+        if row.get("tsvs", 0) >= min_tsvs:
+            latest = row
     return latest
 
 
@@ -147,19 +153,12 @@ def check_variation(path, baseline):
 def latest_fullchip_row(path, tsvs, spacing):
     """Last bench_fullchip row at the baseline design point, or None."""
     latest = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("bench") != "fullchip":
-                continue
-            if row.get("tsvs") != tsvs:
-                continue
-            if spacing is not None and row.get("spacing_um") != spacing:
-                continue
-            latest = row
+    for row in bench_rows(path, "fullchip"):
+        if row.get("tsvs") != tsvs:
+            continue
+        if spacing is not None and row.get("spacing_um") != spacing:
+            continue
+        latest = row
     return latest
 
 
@@ -197,6 +196,35 @@ def check_rss(path, baseline):
                 f"fullchip peak RSS {measured:.1f} MB at {tsvs} TSVs "
                 f"exceeds the baseline {base:.1f} MB by more than "
                 f"{100 * max_growth:.0f}%")
+    return failures
+
+
+def check_checkpoint(path, baseline):
+    """Failing budget gate on the latest fullchip_checkpoint row at each
+    thread count of the baseline's "checkpoint" section."""
+    spec = baseline.get("checkpoint")
+    if spec is None:
+        print("checkpoint: baseline has no 'checkpoint' section; skipping")
+        return []
+    limit = spec.get("max_overhead_frac", 0.05)
+    latest = {row.get("threads"): row
+              for row in bench_rows(path, "fullchip_checkpoint")}
+    failures = []
+    for threads in spec.get("threads", [1, 4]):
+        row = latest.get(threads)
+        if row is None:
+            failures.append(f"checkpoint: no fullchip_checkpoint row at "
+                            f"{threads} thread(s) in {path}")
+            continue
+        frac = row["checkpoint_overhead_frac"]
+        verdict = "ok" if frac <= limit else "OVER BUDGET"
+        print(f"checkpoint overhead @ {row['tsvs']} TSVs, {threads} "
+              f"thread(s): {100 * frac:+.2f}% (budget <= "
+              f"{100 * limit:.0f}%) {verdict}")
+        if frac > limit:
+            failures.append(
+                f"checkpoint overhead {100 * frac:+.2f}% at {threads} "
+                f"thread(s) exceeds the {100 * limit:.0f}% budget")
     return failures
 
 
@@ -269,7 +297,8 @@ def main():
                              "against the baseline's per-sample floor")
     parser.add_argument("--fullchip", metavar="PATH", default=None,
                         help="also gate bench_fullchip's per-design peak "
-                             "RSS ('rss' section)")
+                             "RSS ('rss' section) and checkpoint overhead "
+                             "('checkpoint' section)")
     parser.add_argument("--max-regression", type=float, default=None,
                         help="override the baseline's allowed fraction")
     args = parser.parse_args()
@@ -302,6 +331,7 @@ def main():
         failures += check_variation(args.variation, baseline)
     if args.fullchip is not None:
         failures += check_rss(args.fullchip, baseline)
+        failures += check_checkpoint(args.fullchip, baseline)
     if failures:
         print("\nkernel perf guard FAILED:", file=sys.stderr)
         for f in failures:
